@@ -28,12 +28,12 @@ from .oracle import transfer_reflection_grid
 from .potential import Potential, effective_support, potential_from_config
 from .scattering import (
     DEFAULT_SUPPORT_THRESHOLD,
-    boundary_pair,
+    boundary_pairs,
     scattering_matrix,
     spectral_reflection,
     reflectionless_scan,
 )
-from .weyl import SolverOptions, boundary_m
+from .weyl import SolverOptions, sweep
 
 COMMANDS = ("mfunction", "scatter", "reflect", "wavepacket", "verify", "scan")
 
@@ -157,17 +157,17 @@ def render_json(fields: list[str], rows: list[dict]) -> str:
 
 def _cmd_mfunction(config: RunConfig):
     fields = ["lambda", "side", "m_re", "m_im", "err"]
+    m_l, m_r, err_l, err_r = sweep(config.potential, config.lambda_grid, config.solver)
     rows = []
-    for lam in config.lambda_grid:
-        for side in ("left", "right"):
-            mv = boundary_m(side, config.potential, float(lam), config.solver)
+    for lam, ml, mr, el, er in zip(config.lambda_grid, m_l, m_r, err_l, err_r):
+        for side, m, err in (("left", ml, el), ("right", mr, er)):
             rows.append(
                 {
                     "lambda": float(lam),
                     "side": side,
-                    "m_re": mv.m.real,
-                    "m_im": mv.m.imag,
-                    "err": mv.err_estimate,
+                    "m_re": float(m.real),
+                    "m_im": float(m.imag),
+                    "err": float(err),
                 }
             )
     return fields, rows
@@ -179,8 +179,8 @@ def _cmd_scatter(config: RunConfig):
         fields += [f"{name}_re", f"{name}_im"]
     fields.append("unitarity_residual")
     rows = []
-    for lam in config.lambda_grid:
-        m_l, m_r = boundary_pair(config.potential, float(lam), config.solver)
+    pairs = boundary_pairs(config.potential, config.lambda_grid, config.solver)
+    for lam, (m_l, m_r) in zip(config.lambda_grid, pairs):
         s = scattering_matrix(float(lam), m_l, m_r)
         row = {"lambda": float(lam), "unitarity_residual": s.unitarity_residual()}
         for name in ("s_ll", "s_lr", "s_rl", "s_rr"):
@@ -194,8 +194,8 @@ def _cmd_scatter(config: RunConfig):
 def _cmd_reflect(config: RunConfig):
     fields = ["lambda", "reflect_prob", "transmit_prob", "in_S_l", "in_S_r", "err"]
     rows = []
-    for lam in config.lambda_grid:
-        m_l, m_r = boundary_pair(config.potential, float(lam), config.solver)
+    pairs = boundary_pairs(config.potential, config.lambda_grid, config.solver)
+    for lam, (m_l, m_r) in zip(config.lambda_grid, pairs):
         rec = spectral_reflection(float(lam), m_l, m_r, config.s_threshold)
         rows.append(
             {
@@ -311,8 +311,7 @@ def _cmd_verify(config: RunConfig):
     unitarity_res = 0.0
     diag_res = 0.0
     spectral = []
-    for lam in grid:
-        m_l, m_r = boundary_pair(p, float(lam), config.solver)
+    for lam, (m_l, m_r) in zip(grid, boundary_pairs(p, grid, config.solver)):
         s = scattering_matrix(float(lam), m_l, m_r)
         rec = spectral_reflection(float(lam), m_l, m_r, config.s_threshold)
         if rec.in_S_l:

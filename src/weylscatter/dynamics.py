@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BoundaryLeak, NotConverged
 from .potential import Potential, effective_support
-from .scattering import DEFAULT_SUPPORT_THRESHOLD, boundary_pair, spectral_reflection
+from .scattering import DEFAULT_SUPPORT_THRESHOLD, boundary_pairs, spectral_reflection
 from .weyl import SolverOptions
 
 _INTERACTION_MASS_TOL = 1e-6
@@ -150,17 +150,17 @@ def predicted_reflection(
     """Momentum-density average of the spectral |R(k^2)|^2 over the incident band.
 
     Bins with negligible weight are skipped; their total mass bounds the
-    truncation error since |R|^2 <= 1.
+    truncation error since |R|^2 <= 1.  The remaining bins are solved as one
+    sweep.
     """
     k_grid, density = momentum_density(spec)
     dk = k_grid[1] - k_grid[0]
     cutoff = _DENSITY_CUTOFF * float(np.max(density))
+    keep = (k_grid > 0.0) & (density >= cutoff)
+    lams = k_grid[keep] ** 2
     total = 0.0
-    for k, rho in zip(k_grid, density):
-        if k <= 0.0 or rho < cutoff:
-            continue
-        m_l, m_r = boundary_pair(p, float(k) ** 2, opts)
-        rec = spectral_reflection(float(k) ** 2, m_l, m_r, s_threshold)
+    for lam, rho, (m_l, m_r) in zip(lams, density[keep], boundary_pairs(p, lams, opts)):
+        rec = spectral_reflection(lam, m_l, m_r, s_threshold)
         total += rec.reflect_prob * rho * dk
     return float(total)
 

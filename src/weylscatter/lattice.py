@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import SingularResolvent
 from .potential import Potential, effective_support, evaluate
-from .weyl import SolverOptions, boundary_m, interior_m
+from .weyl import SolverOptions, interior_m, sweep
 
 _COND_LIMIT = 1e12
 
@@ -111,8 +111,8 @@ def _continuum_g00(p: Potential, z: complex, opts: SolverOptions) -> complex:
         m_l = interior_m("left", p, z, opts).m
         m_r = interior_m("right", p, z, opts).m
     else:
-        m_l = boundary_m("left", p, z.real, opts).m
-        m_r = boundary_m("right", p, z.real, opts).m
+        m_l, m_r, _, _ = sweep(p, [z.real], opts)
+        m_l, m_r = complex(m_l[0]), complex(m_r[0])
     return -1.0 / (m_l + m_r)
 
 

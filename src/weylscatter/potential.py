@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -29,10 +29,6 @@ class Potential:
 
     def value(self, x: ArrayLike) -> ArrayLike:
         raise NotImplementedError
-
-    def scalar_fn(self) -> Callable[[float], float]:
-        """Fast scalar evaluator for inner integration loops."""
-        return lambda x: float(self.value(x))
 
     @property
     def support_radius(self) -> float:
@@ -105,9 +101,6 @@ class Zero(Potential):
     def value(self, x):
         return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
 
-    def scalar_fn(self):
-        return lambda x: 0.0
-
     @property
     def support_radius(self):
         return 0.0
@@ -136,10 +129,6 @@ class SquareBarrier(Potential):
         inside = np.abs(x - self.center) <= self.half_width
         out = np.where(inside, self.height, 0.0)
         return out if out.ndim else float(out)
-
-    def scalar_fn(self):
-        h, w, c = self.height, self.half_width, self.center
-        return lambda x: h if abs(x - c) <= w else 0.0
 
     @property
     def support_radius(self):
@@ -182,11 +171,6 @@ class PoschlTeller(Potential):
         out = -self.depth / np.cosh(x) ** 2
         return out if out.ndim else float(out)
 
-    def scalar_fn(self):
-        d = self.depth
-        cosh = math.cosh
-        return lambda x: -d / cosh(x) ** 2
-
     @property
     def support_radius(self):
         return INFINITE
@@ -225,11 +209,6 @@ class GaussianBump(Potential):
         out = self.amplitude * np.exp(-((x - self.center) ** 2) / (2 * self.sigma**2))
         return out if out.ndim else float(out)
 
-    def scalar_fn(self):
-        a, c, s2 = self.amplitude, self.center, 2 * self.sigma**2
-        exp = math.exp
-        return lambda x: a * exp(-((x - c) ** 2) / s2)
-
     @property
     def support_radius(self):
         return 0.0 if self.amplitude == 0 else INFINITE
@@ -265,10 +244,6 @@ class Step(Potential):
         x = np.asarray(x, dtype=float)
         out = np.where(x < 0, self.left_value, self.right_value)
         return out if out.ndim else float(out)
-
-    def scalar_fn(self):
-        lo, hi = self.left_value, self.right_value
-        return lambda x: lo if x < 0 else hi
 
     @property
     def support_radius(self):
@@ -312,12 +287,6 @@ class Sampled(Potential):
         x = np.asarray(x, dtype=float)
         out = np.interp(x, self.xs, self.vs, left=self.tail_left, right=self.tail_right)
         return out if out.ndim else float(out)
-
-    def scalar_fn(self):
-        xs, vs = self.xs, self.vs
-        tl, tr = self.tail_left, self.tail_right
-        interp = np.interp
-        return lambda x: float(interp(x, xs, vs, left=tl, right=tr))
 
     @property
     def support_radius(self):
@@ -372,10 +341,6 @@ class Truncated(Potential):
         x = np.asarray(x, dtype=float)
         out = np.where(np.abs(x) <= self.radius, self.inner.value(x), 0.0)
         return out if out.ndim else float(out)
-
-    def scalar_fn(self):
-        f, r = self.inner.scalar_fn(), self.radius
-        return lambda x: f(x) if abs(x) <= r else 0.0
 
     @property
     def support_radius(self):

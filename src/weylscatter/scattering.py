@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ResonantDenominator
 from .potential import Potential
-from .weyl import MValue, SolverOptions, boundary_m
+from .weyl import MValue, SolverOptions, sweep
 
 DEFAULT_SUPPORT_THRESHOLD = 1e-8
 _RESONANT_EPS = 1e-14
@@ -143,11 +143,26 @@ def spectral_reflection(
     )
 
 
+def boundary_pairs(
+    p: Potential, grid, opts: SolverOptions | None = None
+) -> list[tuple[MValue, MValue]]:
+    """Both boundary m-values at every energy of grid, from one batched sweep."""
+    grid = np.asarray(grid, dtype=float)
+    m_l, m_r, err_l, err_r = sweep(p, grid, opts)
+    return [
+        (
+            MValue(side="left", z=complex(lam, 0.0), m=complex(ml), err_estimate=float(el)),
+            MValue(side="right", z=complex(lam, 0.0), m=complex(mr), err_estimate=float(er)),
+        )
+        for lam, ml, mr, el, er in zip(grid.tolist(), m_l, m_r, err_l, err_r)
+    ]
+
+
 def boundary_pair(
     p: Potential, lam: float, opts: SolverOptions | None = None
 ) -> tuple[MValue, MValue]:
     """Both boundary m-values at lambda."""
-    return boundary_m("left", p, lam, opts), boundary_m("right", p, lam, opts)
+    return boundary_pairs(p, [float(lam)], opts)[0]
 
 
 def analyze(
@@ -184,8 +199,7 @@ def reflectionless_scan(
     windows: list[ReflectionlessWindow] = []
     start = None
     worst = 0.0
-    for lam in grid:
-        m_l, m_r = boundary_pair(p, lam, opts)
+    for lam, (m_l, m_r) in zip(grid, boundary_pairs(p, grid, opts)):
         rec = spectral_reflection(lam, m_l, m_r, s_threshold)
         if rec.reflect_prob <= zero_tol:
             if start is None:

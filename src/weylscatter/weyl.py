@@ -15,10 +15,13 @@ Boundary values m(lambda + i0) come from direct integration at real energy
 when the potential has exact compact support, and otherwise from polynomial
 extrapolation of m(lambda + i*eps) down a decreasing ladder of eps.  Values at
 lambda - i0 are never integrated; take conjugates.
+
+All solves of one call run together: a lane is one (z, side, tolerance)
+solve, and a single Dormand-Prince kernel advances every lane in lockstep
+over numpy arrays.  `sweep` batches a whole energy grid this way.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,140 +86,244 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 )
 
 
-def _advance(vfun, z, x, target, u, du, h_abs, cap, rtol, atol, renorm_every, state):
-    """Integrate (u, u') from x to target over one smooth segment of V.
+# Distinct abscissae of one attempt, as fractions of the step: stages 2-5,
+# then x + h, which stages 6 and 7 share.
+_NODES = np.array([_C2, _C3, _C4, _C5, 1.0])[:, None]
 
-    Returns the updated (u, du, h_abs).  The state dict carries the accepted
-    step counter so renormalization cadence survives segment boundaries.
-    Scaling the pair (u, u') is harmless: only the ratio u'/u is used.
+
+def _slope(out, y, vz):
+    """Right-hand side (u', (V - z) u) of the stacked pair y = (u, u'), written into out."""
+    out[0] = y[1]
+    out[1] = vz * y[0]
+
+
+def _integrate(p: Potential, z, right, rtol, atol, opts: SolverOptions):
+    """Log-derivatives at the origin for a batch of lanes, any complex z.
+
+    A lane is one solve: its z, its side (`right` true or false) and its
+    tolerances.  Every lane integrates (u, u') from outside the support to the
+    origin with its own position, step size, segment, FSAL slope, counters
+    and renormalization cadence, so its result does not depend on the other
+    lanes; only the arithmetic is shared, over numpy arrays.  Inactive lanes
+    take zero-length steps and masks keep their state.  Scaling the pair
+    (u, u') is harmless: only the ratio u'/u is used.
+
+    Returns the m-values (NaN where a lane failed) and, per lane, None or
+    the typed error that stopped it.
     """
-    direction = 1.0 if target > x else -1.0
-    span = abs(target - x)
-    if span == 0.0:
-        return u, du, h_abs
-    tiny = 1e-14 * max(1.0, abs(target), abs(x))
-    # first derivative evaluation of the segment (FSAL slot)
-    k1u = du
-    k1d = (vfun(x) - z) * u
-    steps_left = _MAX_STEPS - state["total"]
+    n = z.size
+    sign = np.where(right, 1.0, -1.0)
+    vtail = np.where(right, p.tail_value("right"), p.tail_value("left"))
+    w = np.sqrt(z - vtail)
+    w = np.where(w.imag < 0, -w, w)  # the branch with nonnegative imaginary part
+    slope = 1j * w * sign  # u'/u of the decaying tail solution at sign * x_edge
+    failures: list[Exception | None] = [None] * n
+    x_edge = effective_support(p, opts.truncation_tol)
+    if x_edge > 0.0 and not p.exact_support:
+        x_edge += SUPPORT_MARGIN
+    if x_edge == 0.0:
+        return sign * slope, failures
+
+    # split at interior breakpoints so each RK segment sees smooth V
+    plans = (
+        sorted(b for b in p.breakpoints() if -x_edge < b < 0.0) + [0.0],
+        sorted((b for b in p.breakpoints() if 0.0 < b < x_edge), reverse=True) + [0.0],
+    )
+    width = max(map(len, plans))
+    side = right.astype(int)
+    plan = np.array([s + [0.0] * (width - len(s)) for s in plans])[side]
+    n_seg = np.array([len(s) for s in plans])[side]
+    lanes = np.arange(n)
+
+    cap = np.minimum(0.1, 0.5 / np.sqrt(np.maximum(np.abs(z - p.lower_bound), 1e-12)))
+    x = sign * x_edge
+    h = np.minimum(cap, x_edge) * 0.25
+    y = np.stack([np.ones(n, dtype=complex), slope])
+    k = np.zeros((7, 2, n), dtype=complex)  # stage slopes; k[0] is the FSAL slot
+    # the start point is the end of segment -1, so the first pass enters segment 0
+    seg = np.full(n, -1)
+    target = x.copy()
+    tiny = np.ones(n)
+    direction = np.zeros(n)
+    span = np.zeros(n)
+    accepted = np.zeros(n, dtype=int)
+    attempts = np.zeros(n, dtype=int)
+    active = np.ones(n, dtype=bool)
+    m = np.full(n, complex(np.nan, np.nan))
+
+    def fail(mask, error, message):
+        if mask.any():
+            for i in np.flatnonzero(mask):
+                side_name = ("left", "right")[side[i]]
+                failures[i] = error(f"{message} for side={side_name}, z={complex(z[i])}")
+            active[mask] = False
+
     while True:
-        remaining = target - x
-        if abs(remaining) <= tiny:
+        gap = np.abs(target - x)
+        done = active & (gap <= tiny)
+        if done.any():
+            np.copyto(x, target, where=done)
+            seg += done
+            end = done & (seg == n_seg)
+            if end.any():
+                u, du = y
+                node = end & (np.abs(u) <= 1e-13 * np.maximum(np.abs(u), np.abs(du)))
+                good = np.flatnonzero(end & ~node)
+                m[good] = sign[good] * (du[good] / u[good])
+                active[end] = False
+                fail(node, NodeAtOrigin, "u(0) underflowed")
+            enter = done & ~end
+            if enter.any():
+                np.copyto(target, plan[lanes, np.minimum(seg, width - 1)], where=enter)
+                np.copyto(direction, np.where(target > x, 1.0, -1.0), where=enter)
+                np.copyto(span, np.abs(target - x), where=enter)
+                edge = np.maximum(np.abs(target), np.abs(x))
+                np.copyto(tiny, 1e-14 * np.maximum(1.0, edge), where=enter)
+                vz = p.value(x) - z
+                np.copyto(k[0], np.stack([y[1], vz * y[0]]), where=enter)
+            continue  # a segment entered may already be within tiny of its end
+        if not active.any():
             break
-        h_abs = min(h_abs, cap, abs(remaining))
-        if h_abs < 1e-14 * span:
-            raise OdeStepFailure("step size underflow while meeting tolerances")
-        h = direction * h_abs
-        # Dormand-Prince stages
-        yu = u + h * (_A21 * k1u)
-        yd = du + h * (_A21 * k1d)
-        k2u = yd
-        k2d = (vfun(x + _C2 * h) - z) * yu
-        yu = u + h * (_A31 * k1u + _A32 * k2u)
-        yd = du + h * (_A31 * k1d + _A32 * k2d)
-        k3u = yd
-        k3d = (vfun(x + _C3 * h) - z) * yu
-        yu = u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u)
-        yd = du + h * (_A41 * k1d + _A42 * k2d + _A43 * k3d)
-        k4u = yd
-        k4d = (vfun(x + _C4 * h) - z) * yu
-        yu = u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u)
-        yd = du + h * (_A51 * k1d + _A52 * k2d + _A53 * k3d + _A54 * k4d)
-        k5u = yd
-        k5d = (vfun(x + _C5 * h) - z) * yu
-        yu = u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u)
-        yd = du + h * (_A61 * k1d + _A62 * k2d + _A63 * k3d + _A64 * k4d + _A65 * k5d)
-        k6u = yd
-        k6d = (vfun(x + h) - z) * yu
-        unew = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
-        dnew = du + h * (_B1 * k1d + _B3 * k3d + _B4 * k4d + _B5 * k5d + _B6 * k6d)
-        k7u = dnew
-        k7d = (vfun(x + h) - z) * unew
-        eu = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
-        ed = h * (_E1 * k1d + _E3 * k3d + _E4 * k4d + _E5 * k5d + _E6 * k6d + _E7 * k7d)
-        scu = atol + rtol * max(abs(u), abs(unew))
-        scd = atol + rtol * max(abs(du), abs(dnew))
-        err = math.sqrt(0.5 * ((abs(eu) / scu) ** 2 + (abs(ed) / scd) ** 2))
-        steps_left -= 1
-        if steps_left <= 0:
-            raise OdeStepFailure("step budget exhausted")
-        if err <= 1.0:
-            x = x + h
-            u, du = unew, dnew
-            k1u, k1d = k7u, k7d  # FSAL
-            state["accepted"] += 1
-            if state["accepted"] % renorm_every == 0:
-                scale = max(abs(u), abs(du))
-                if scale > 0.0:
-                    inv = 1.0 / scale
-                    u *= inv
-                    du *= inv
-                    k1u *= inv
-                    k1d *= inv
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-        else:
-            factor = max(0.2, 0.9 * err ** -0.2)
-        h_abs = h_abs * factor
-    state["total"] = _MAX_STEPS - steps_left
-    return u, du, h_abs
+
+        np.copyto(h, np.minimum(np.minimum(h, cap), gap), where=active)
+        fail(
+            active & (h < 1e-14 * span),
+            OdeStepFailure,
+            "step size underflow while meeting tolerances",
+        )
+        hh = np.where(active, direction * h, 0.0)
+        vz = p.value(x + _NODES * hh) - z  # one potential call per attempt
+        _slope(k[1], y + hh * (_A21 * k[0]), vz[0])
+        _slope(k[2], y + hh * (_A31 * k[0] + _A32 * k[1]), vz[1])
+        _slope(k[3], y + hh * (_A41 * k[0] + _A42 * k[1] + _A43 * k[2]), vz[2])
+        _slope(k[4], y + hh * (_A51 * k[0] + _A52 * k[1] + _A53 * k[2] + _A54 * k[3]), vz[3])
+        _slope(
+            k[5],
+            y + hh * (_A61 * k[0] + _A62 * k[1] + _A63 * k[2] + _A64 * k[3] + _A65 * k[4]),
+            vz[4],
+        )
+        y_new = y + hh * (_B1 * k[0] + _B3 * k[2] + _B4 * k[3] + _B5 * k[4] + _B6 * k[5])
+        _slope(k[6], y_new, vz[4])
+        e = hh * (_E1 * k[0] + _E3 * k[2] + _E4 * k[3] + _E5 * k[4] + _E6 * k[5] + _E7 * k[6])
+        r = np.abs(e) / (atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
+        err = np.sqrt(0.5 * (r[0] ** 2 + r[1] ** 2))
+
+        attempts += active
+        fail(active & (attempts >= _MAX_STEPS), OdeStepFailure, "step budget exhausted")
+        ok = active & (err <= 1.0)
+        np.copyto(x, x + hh, where=ok)
+        np.copyto(y, y_new, where=ok)
+        np.copyto(k[0], k[6], where=ok)  # FSAL
+        accepted += ok
+        renorm = ok & (accepted % opts.renorm_interval == 0)
+        if renorm.any():
+            size = np.maximum(np.abs(y[0]), np.abs(y[1]))
+            renorm &= size > 0.0
+            inv = 1.0 / np.where(renorm, size, 1.0)
+            np.copyto(y, y * inv, where=renorm)
+            np.copyto(k[0], k[0] * inv, where=renorm)
+        # A NaN error estimate must shrink the step like any rejection, so NaN
+        # maps to the 0.2 floor (fmax), and err == 0 to the 5x ceiling (inf).
+        grow = 0.9 * np.power(err, -0.2, out=np.full(n, np.inf), where=err != 0.0)
+        factor = np.fmax(0.2, grow)
+        factor = np.where(ok, np.minimum(5.0, factor), factor)
+        np.copyto(h, h * factor, where=active)
+    return m, failures
 
 
-def _outgoing_root(w: complex) -> complex:
-    """sqrt on the branch with nonnegative imaginary part."""
-    r = np.sqrt(complex(w))
-    if r.imag < 0:
-        r = -r
-    return complex(r)
+def _neville_to_zero(eps, values):
+    """Diagonal of the Neville tableau extrapolating values(eps) to eps = 0.
+
+    The ladder runs along the first axis of values; trailing axes ride along.
+    """
+    t = list(values)
+    n = len(t)
+    diag = [t[0]]
+    for k in range(1, n):
+        for i in range(n - k):
+            t[i] = (eps[i] * t[i + 1] - eps[i + k] * t[i]) / (eps[i] - eps[i + k])
+        diag.append(t[0])
+    return diag
+
+
+def _m_values(p: Potential, z, sides, opts: SolverOptions, ladder: bool):
+    """m and its error bar for every side at every z, solved as one batch.
+
+    Without `ladder`, each (z, side) is solved at the working tolerance and at
+    half of it: the finer value is returned and the gap between the two is the
+    error bar.  With `ladder` (real z), each is solved at z + i*eps down
+    opts.eps_ladder and extrapolated to eps = 0; the error bar is the gap
+    between the last two extrapolants.
+
+    Returns (m, err) of shape (len(sides), len(z)).  The error raised is the
+    one a loop over z, then sides, then rungs would meet first.
+    """
+    z = np.asarray(z, dtype=complex)
+    for side in sides:
+        p.tail_value(side)  # rejects an unknown side
+    if ladder:
+        eps = opts.eps_ladder
+        zz = np.empty((len(eps), len(sides), z.size), dtype=complex)
+        zz.real = z.real
+        zz.imag = np.asarray(eps)[:, None, None]
+        rtol = np.full(zz.shape, opts.rel_ode_tol)
+        atol = np.full(zz.shape, opts.abs_ode_tol)
+    else:
+        zz = np.broadcast_to(z, (2, len(sides), z.size))
+        rtol = np.broadcast_to(np.array([1.0, 0.5])[:, None, None] * opts.rel_ode_tol, zz.shape)
+        atol = np.broadcast_to(np.array([1.0, 0.5])[:, None, None] * opts.abs_ode_tol, zz.shape)
+    right = np.broadcast_to(np.array([s == "right" for s in sides])[None, :, None], zz.shape)
+    flat, failures = _integrate(p, zz.ravel(), right.ravel(), rtol.ravel(), atol.ravel(), opts)
+    values = flat.reshape(zz.shape)
+
+    if ladder:
+        diag = np.array(_neville_to_zero(eps, values))
+        diffs = np.abs(np.diff(diag, axis=0))
+        m = diag[-1]
+        floor = 1e-8 * (1.0 + np.abs(m))
+        diverged = ((diffs[1:] > 10.0 * diffs[:-1]) & (diffs[1:] > floor)).any(axis=0)
+        # a ladder that stops contracting can miss the 10x rule (m ~ eps^-1/2 at a
+        # band edge grows only ~3x per decade) yet is equally unusable
+        if len(diffs) > 1:
+            diverged |= (diffs[-1] >= diffs[-2]) & (diffs[-1] > floor)
+        err = diffs[-1] + 1e-15 * (1.0 + np.abs(m))
+    else:
+        coarse, m = values
+        err = np.abs(m - coarse) + 1e-15 * (1.0 + np.abs(m))
+        diverged = np.zeros(m.shape, dtype=bool)
+
+    failed = np.array([f is not None for f in failures]).reshape(zz.shape)
+    bad = failed.any(axis=0) | diverged
+    if bad.any():
+        i, s = divmod(int(np.argmax(bad.T)), len(sides))
+        if failed[:, s, i].any():
+            rung = int(np.argmax(failed[:, s, i]))
+            raise failures[np.ravel_multi_index((rung, s, i), zz.shape)]
+        raise ExtrapolationDivergence(
+            f"extrapolants diverge at lambda={float(z[i].real)} (side={sides[s]}); "
+            "lambda may sit at a spectral singularity"
+        )
+    return m, err
 
 
 def _m_halfline(side: str, p: Potential, z: complex, opts: SolverOptions, rtol: float, atol: float) -> complex:
     """Log-derivative of the decaying solution at the origin, any complex z.
 
-    This is the raw solver; the public entry points restrict z to the closed
-    upper half-plane and add error estimates.
+    This is the raw solver on one lane; the public entry points restrict z to
+    the closed upper half-plane and add error estimates.
     """
-    z = complex(z)
-    vtail = p.tail_value(side)
-    x_edge = effective_support(p, opts.truncation_tol)
-    if x_edge > 0.0 and not p.exact_support:
-        x_edge += SUPPORT_MARGIN
-    w = _outgoing_root(z - vtail)
-    sign = 1.0 if side == "right" else -1.0
-    slope = 1j * w * sign  # u'/u of the decaying tail solution at sign*x_edge
-    if x_edge == 0.0:
-        return sign * slope
-    x_start = sign * x_edge
-    cap = min(0.1, 0.5 / math.sqrt(max(abs(z - p.lower_bound), 1e-12)))
-    vfun = p.scalar_fn()
-    distance_to_zero = abs(x_start)
-    # split at interior breakpoints so each RK segment sees smooth V
-    if side == "right":
-        inner = sorted((b for b in p.breakpoints() if 0.0 < b < x_edge), reverse=True)
-    else:
-        inner = sorted(b for b in p.breakpoints() if -x_edge < b < 0.0)
-    targets = list(inner) + [0.0]
-    u = 1.0 + 0.0j
-    du = slope
-    h_abs = min(cap, distance_to_zero) * 0.25
-    x = x_start
-    state = {"accepted": 0, "total": 0}
-    for target in targets:
-        u, du, h_abs = _advance(
-            vfun, z, x, target, u, du, h_abs, cap, rtol, atol, opts.renorm_interval, state
-        )
-        x = target
-    if abs(u) <= 1e-13 * max(abs(u), abs(du)):
-        raise NodeAtOrigin(f"u(0) underflowed for side={side}, z={z}")
-    return sign * (du / u)
-
-
-def _m_with_err(side, p, z, opts) -> tuple[complex, float]:
-    """Solve at the working tolerance and at half of it; the difference is the error bar."""
-    rtol, atol = opts.rel_ode_tol, opts.abs_ode_tol
-    coarse = _m_halfline(side, p, z, opts, rtol, atol)
-    fine = _m_halfline(side, p, z, opts, 0.5 * rtol, 0.5 * atol)
-    err = abs(fine - coarse) + 1e-15 * (1.0 + abs(fine))
-    return fine, err
+    p.tail_value(side)  # rejects an unknown side
+    m, failures = _integrate(
+        p,
+        np.array([complex(z)]),
+        np.array([side == "right"]),
+        np.array([float(rtol)]),
+        np.array([float(atol)]),
+        opts,
+    )
+    if failures[0] is not None:
+        raise failures[0]
+    return complex(m[0])
 
 
 def interior_m(side: str, p: Potential, z: complex, opts: SolverOptions | None = None) -> MValue:
@@ -229,20 +336,27 @@ def interior_m(side: str, p: Potential, z: complex, opts: SolverOptions | None =
     z = complex(z)
     if not z.imag > 0:
         raise ValueError("interior_m requires Im z > 0; use boundary_m on the real axis")
-    m, err = _m_with_err(side, p, z, opts)
-    return MValue(side=side, z=z, m=m, err_estimate=err)
+    m, err = _m_values(p, [z], (side,), opts, ladder=False)
+    return MValue(side=side, z=z, m=complex(m[0, 0]), err_estimate=float(err[0, 0]))
 
 
-def _neville_to_zero(eps, values):
-    """Diagonal of the Neville tableau extrapolating values(eps) to eps = 0."""
-    t = list(values)
-    n = len(t)
-    diag = [t[0]]
-    for k in range(1, n):
-        for i in range(n - k):
-            t[i] = (eps[i] * t[i + 1] - eps[i + k] * t[i]) / (eps[i] - eps[i + k])
-        diag.append(t[0])
-    return diag
+def sweep(
+    p: Potential, grid, opts: SolverOptions | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Boundary values m(lambda + i0) on both sides at every energy of grid.
+
+    All energies, both sides and every tolerance or eps rung are integrated
+    as one lockstep batch; the result at each energy equals boundary_m's,
+    bit for bit.  Returns the arrays (m_l, m_r, err_l, err_r).  A failure
+    raises the typed error of the first failing energy in grid order, left
+    side before right.
+    """
+    opts = opts or SolverOptions()
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError("grid must be a 1D sequence of energies")
+    m, err = _m_values(p, grid, ("left", "right"), opts, ladder=not p.exact_support)
+    return m[0], m[1], err[0], err[1]
 
 
 def boundary_m(side: str, p: Potential, lam: float, opts: SolverOptions | None = None) -> MValue:
@@ -255,32 +369,8 @@ def boundary_m(side: str, p: Potential, lam: float, opts: SolverOptions | None =
     """
     opts = opts or SolverOptions()
     lam = float(lam)
-    z0 = complex(lam, 0.0)
-    if p.exact_support:
-        m, err = _m_with_err(side, p, z0, opts)
-        return MValue(side=side, z=z0, m=m, err_estimate=err)
-    eps = list(opts.eps_ladder)
-    values = [
-        _m_halfline(side, p, complex(lam, e), opts, opts.rel_ode_tol, opts.abs_ode_tol)
-        for e in eps
-    ]
-    diag = _neville_to_zero(eps, values)
-    diffs = [abs(b - a) for a, b in zip(diag, diag[1:])]
-    m = diag[-1]
-    floor = 1e-8 * (1.0 + abs(m))
-    blowup = any(
-        cur > 10.0 * prev and cur > floor for prev, cur in zip(diffs, diffs[1:])
-    )
-    # a ladder that stops contracting can miss the 10x rule (m ~ eps^-1/2 at a
-    # band edge grows only ~3x per decade) yet is equally unusable
-    stalled = diffs[-1] >= diffs[-2] and diffs[-1] > floor
-    if blowup or stalled:
-        raise ExtrapolationDivergence(
-            f"extrapolants diverge at lambda={lam} (side={side}); "
-            "lambda may sit at a spectral singularity"
-        )
-    err = diffs[-1] + 1e-15 * (1.0 + abs(m))
-    return MValue(side=side, z=z0, m=m, err_estimate=err)
+    m, err = _m_values(p, [lam], (side,), opts, ladder=not p.exact_support)
+    return MValue(side=side, z=complex(lam, 0.0), m=complex(m[0, 0]), err_estimate=float(err[0, 0]))
 
 
 def ac_density(side: str, p: Potential, lam: float, opts: SolverOptions | None = None) -> float:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from weylscatter import (
     ac_density,
     boundary_m,
     interior_m,
+    sweep,
     truncated,
 )
 from weylscatter.weyl import _m_halfline
@@ -35,7 +37,9 @@ def free_m(z):
 
 def rk4_log_derivative(p: Potential, z: complex, side: str, x_start: float, n_steps: int = 20000):
     """Brute-force dense-grid integration oracle, independent of the adaptive solver."""
-    vf = p.scalar_fn()
+    def vf(xx):
+        return float(p.value(xx))
+
     sign = 1.0 if side == "right" else -1.0
     w = cmath.sqrt(z - p.tail_value(side))
     if w.imag < 0:
@@ -251,8 +255,10 @@ def test_node_at_origin_at_dirichlet_eigenvalue():
 
 
 class _PoisonedPotential(Zero):
-    def scalar_fn(self):
-        return lambda x: float("nan") if 0.4 < x < 0.6 else 0.0
+    def value(self, x):
+        x = np.asarray(x, dtype=float)
+        out = np.where((x > 0.4) & (x < 0.6), np.nan, 0.0)
+        return out if out.ndim else float(out)
 
     @property
     def support_radius(self):
@@ -279,3 +285,53 @@ def test_solver_options_validation():
 def test_side_validation():
     with pytest.raises(ValueError):
         boundary_m("up", Zero(), 1.0, OPTS)
+
+
+LANE_POTENTIALS = [
+    SquareBarrier(height=2.0, half_width=0.5),
+    Sampled(xs=[-2.0, -1.0, 0.0, 1.0, 2.0], vs=[0.0, 1.0, 2.0, 1.0, 0.0]),
+    GaussianBump(amplitude=1.0, sigma=1.0),
+    truncated(PoschlTeller(nu=2), 1e-12),
+    Step(0.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("p", LANE_POTENTIALS, ids=lambda p: type(p).__name__)
+def test_sweep_lanes_independent(p):
+    # a lane must not feel the rest of its batch: the sweep equals one-energy
+    # boundary_m bit for bit, and reversing or subsetting the grid moves no lane
+    grid = np.array([0.3, 1.7, 4.4, 8.8])
+    m_l, m_r, err_l, err_r = sweep(p, grid, OPTS)
+    for i, lam in enumerate(grid):
+        left, right = boundary_m("left", p, lam, OPTS), boundary_m("right", p, lam, OPTS)
+        assert (m_l[i], err_l[i]) == (left.m, left.err_estimate)
+        assert (m_r[i], err_r[i]) == (right.m, right.err_estimate)
+    batch = np.array([m_l, m_r, err_l, err_r])
+    assert np.array_equal(np.array(sweep(p, grid[::-1], OPTS))[:, ::-1], batch)
+    assert np.array_equal(np.array(sweep(p, grid[1::2], OPTS)), batch[:, 1::2])
+
+
+def test_sweep_emits_no_runtime_warnings():
+    # masked lanes (finished, failed, evanescent) must stay silent, and a NaN
+    # error estimate must shrink the step into OdeStepFailure, never into a
+    # loop or a NaN m
+    cases = [
+        (PoschlTeller(nu=2), [0.2, 3.0, 9.5]),
+        (SquareBarrier(height=-5.0, half_width=1.0), [-2.0, 0.5, 6.0]),
+        (Step(0.0, 1.0), [0.5, 2.0]),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p, grid in cases:
+            assert all(np.all(np.isfinite(values)) for values in sweep(p, grid, OPTS))
+        with pytest.raises(OdeStepFailure, match="underflow"):
+            sweep(_PoisonedPotential(), [1.0, 2.0], OPTS)
+
+
+def test_sweep_error_names_first_failing_energy():
+    # every right-side lane of the poisoned potential fails; the error is the
+    # first one in grid order, whichever lane failed first in time
+    with pytest.raises(OdeStepFailure, match=r"side=right, z=\(3\+0j\)"):
+        sweep(_PoisonedPotential(), [3.0, 1.0, 2.0], OPTS)
+    with pytest.raises(ExtrapolationDivergence, match=r"lambda=0\.0 \(side=left\)"):
+        sweep(PoschlTeller(nu=1), [2.0, 0.0, 1.0], OPTS)
