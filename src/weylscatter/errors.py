@@ -42,8 +42,8 @@ class OdeStepFailure(WeylScatterError):
     """Adaptive stepping could not meet the requested tolerances."""
 
 
-class ExtrapolationDivergence(WeylScatterError):
-    """Successive boundary-value extrapolants grew instead of settling."""
+class SpectralSingularity(WeylScatterError):
+    """An m-value's error bar is of the order of m: lambda sits at or near a pole of m."""
 
 
 class ResonantDenominator(WeylScatterError):

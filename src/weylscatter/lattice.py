@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularResolvent
-from .potential import Potential, effective_support, evaluate
+from .potential import Potential, effective_support
 from .weyl import SolverOptions, interior_m, sweep
 
 _COND_LIMIT = 1e12
@@ -78,7 +78,7 @@ def lattice_model_from_potential(
             f"box half-length {n * h} does not cover support {support} plus margin {margin}"
         )
     grid = h * np.arange(-n, n + 1)
-    return LatticeModel(n=n, h=h, v=np.asarray(evaluate(p, grid), dtype=float), z=z)
+    return LatticeModel(n=n, h=h, v=np.asarray(p.value(grid), dtype=float), z=z)
 
 
 def _hamiltonian(model: LatticeModel) -> np.ndarray:

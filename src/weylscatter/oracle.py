@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateEnergy, EvanescentOverflow, InvalidSlabWidth
-from .potential import Potential, effective_support, evaluate
+from .potential import Potential, effective_support
 
 _OVERFLOW_LIMIT = 1e300
 
@@ -112,7 +112,7 @@ def transfer_reflection_grid(
     if len(edges) == 1:
         return [TransferResult(float(k), 0.0 + 0.0j, 1.0 + 0.0j, 0) for k in ks]
     mids = 0.5 * (edges[:-1] + edges[1:])
-    v_mid = np.asarray(evaluate(p, mids), dtype=float)
+    v_mid = np.asarray(p.value(mids), dtype=float)
     m11, m12, m21, m22 = _compose(ks, edges, v_mid)
     r = -m21 / m22
     t = m11 + m12 * r

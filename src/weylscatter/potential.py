@@ -384,11 +384,6 @@ class ValidationReport:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
-def evaluate(p: Potential, x: ArrayLike) -> ArrayLike:
-    """Evaluate V at x (scalar or array).  Pure and total."""
-    return p.value(x)
-
-
 def effective_support(p: Potential, tol: float) -> float:
     """Smallest X such that |V(x) - tail| <= tol for all |x| >= X.
 

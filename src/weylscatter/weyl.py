@@ -11,10 +11,14 @@ from the decaying plane-wave asymptotic.  Signs are normalized so that both
 map the upper half-plane into itself (Herglotz).  On the free line both equal
 i*sqrt(z).
 
-Boundary values m(lambda + i0) come from direct integration at real energy
-when the potential has exact compact support, and otherwise from polynomial
-extrapolation of m(lambda + i*eps) down a decreasing ladder of eps.  Values at
-lambda - i0 are never integrated; take conjugates.
+Boundary values m(lambda + i0) come from one path: integrate at real energy
+from effective_support(truncation_tol), plus SUPPORT_MARGIN for decaying
+tails, with the oscillatory (or decaying, below the tail) initialization.
+Values at lambda - i0 are never integrated; take conjugates.  Every value
+carries an error bar, the change of m when the ODE tolerances are halved; a
+value whose error bar exceeds SINGULAR_ERR * (1 + |m|) is refused with
+SpectralSingularity, since near a pole of m (a band edge or a Dirichlet
+eigenvalue) the two solves disagree at leading order.
 
 All solves of one call run together: a lane is one (z, side, tolerance)
 solve, and a single Dormand-Prince kernel advances every lane in lockstep
@@ -26,13 +30,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExtrapolationDivergence, NodeAtOrigin, OdeStepFailure
+from .errors import NodeAtOrigin, OdeStepFailure, SpectralSingularity
 from .potential import Potential, effective_support
 
 # Extra integration length for potentials with decaying (inexact) tails, so the
 # plane-wave initialization sits below truncation_tol residue.  Potentials with
 # exact compact support start at the support edge itself.
 SUPPORT_MARGIN = 2.0
+
+# Largest error bar accepted, relative to 1 + |m|.  Legitimate values stay
+# below about 5e-11 at the default tolerances; near a pole of m the error bar
+# is of the order of m itself.
+SINGULAR_ERR = 1e-8
 
 _MAX_STEPS = 2_000_000
 
@@ -44,18 +53,13 @@ class SolverOptions:
     truncation_tol: float = 1e-12
     rel_ode_tol: float = 1e-10
     abs_ode_tol: float = 1e-12
-    eps_ladder: tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5)
     renorm_interval: int = 16
 
     def __post_init__(self):
         if self.truncation_tol <= 0 or self.rel_ode_tol <= 0 or self.abs_ode_tol <= 0:
             raise ValueError("tolerances must be positive")
-        ladder = tuple(float(e) for e in self.eps_ladder)
-        if len(ladder) < 2 or ladder[-1] <= 0 or any(b >= a for a, b in zip(ladder, ladder[1:])):
-            raise ValueError("eps_ladder must be strictly decreasing and positive")
         if self.renorm_interval < 1:
             raise ValueError("renorm_interval must be a positive integer")
-        object.__setattr__(self, "eps_ladder", ladder)
 
 
 @dataclass(frozen=True)
@@ -231,77 +235,41 @@ def _integrate(p: Potential, z, right, rtol, atol, opts: SolverOptions):
     return m, failures
 
 
-def _neville_to_zero(eps, values):
-    """Diagonal of the Neville tableau extrapolating values(eps) to eps = 0.
-
-    The ladder runs along the first axis of values; trailing axes ride along.
-    """
-    t = list(values)
-    n = len(t)
-    diag = [t[0]]
-    for k in range(1, n):
-        for i in range(n - k):
-            t[i] = (eps[i] * t[i + 1] - eps[i + k] * t[i]) / (eps[i] - eps[i + k])
-        diag.append(t[0])
-    return diag
-
-
-def _m_values(p: Potential, z, sides, opts: SolverOptions, ladder: bool):
+def _m_values(p: Potential, z, sides, opts: SolverOptions):
     """m and its error bar for every side at every z, solved as one batch.
 
-    Without `ladder`, each (z, side) is solved at the working tolerance and at
-    half of it: the finer value is returned and the gap between the two is the
-    error bar.  With `ladder` (real z), each is solved at z + i*eps down
-    opts.eps_ladder and extrapolated to eps = 0; the error bar is the gap
-    between the last two extrapolants.
+    Each (z, side) is solved at the working tolerances and at half of them:
+    the finer value is returned and the gap between the two is the error bar.
 
     Returns (m, err) of shape (len(sides), len(z)).  The error raised is the
-    one a loop over z, then sides, then rungs would meet first.
+    one a loop over z, then sides, then tolerances would meet first; a lane
+    whose error bar exceeds SINGULAR_ERR * (1 + |m|) raises
+    SpectralSingularity.
     """
     z = np.asarray(z, dtype=complex)
     for side in sides:
         p.tail_value(side)  # rejects an unknown side
-    if ladder:
-        eps = opts.eps_ladder
-        zz = np.empty((len(eps), len(sides), z.size), dtype=complex)
-        zz.real = z.real
-        zz.imag = np.asarray(eps)[:, None, None]
-        rtol = np.full(zz.shape, opts.rel_ode_tol)
-        atol = np.full(zz.shape, opts.abs_ode_tol)
-    else:
-        zz = np.broadcast_to(z, (2, len(sides), z.size))
-        rtol = np.broadcast_to(np.array([1.0, 0.5])[:, None, None] * opts.rel_ode_tol, zz.shape)
-        atol = np.broadcast_to(np.array([1.0, 0.5])[:, None, None] * opts.abs_ode_tol, zz.shape)
-    right = np.broadcast_to(np.array([s == "right" for s in sides])[None, :, None], zz.shape)
+    shape = (2, len(sides), z.size)
+    scale = np.array([1.0, 0.5])[:, None, None]
+    zz = np.broadcast_to(z, shape)
+    rtol = np.broadcast_to(scale * opts.rel_ode_tol, shape)
+    atol = np.broadcast_to(scale * opts.abs_ode_tol, shape)
+    right = np.broadcast_to(np.array([s == "right" for s in sides])[None, :, None], shape)
     flat, failures = _integrate(p, zz.ravel(), right.ravel(), rtol.ravel(), atol.ravel(), opts)
-    values = flat.reshape(zz.shape)
+    coarse, m = flat.reshape(shape)
+    err = np.abs(m - coarse) + 1e-15 * (1.0 + np.abs(m))
 
-    if ladder:
-        diag = np.array(_neville_to_zero(eps, values))
-        diffs = np.abs(np.diff(diag, axis=0))
-        m = diag[-1]
-        floor = 1e-8 * (1.0 + np.abs(m))
-        diverged = ((diffs[1:] > 10.0 * diffs[:-1]) & (diffs[1:] > floor)).any(axis=0)
-        # a ladder that stops contracting can miss the 10x rule (m ~ eps^-1/2 at a
-        # band edge grows only ~3x per decade) yet is equally unusable
-        if len(diffs) > 1:
-            diverged |= (diffs[-1] >= diffs[-2]) & (diffs[-1] > floor)
-        err = diffs[-1] + 1e-15 * (1.0 + np.abs(m))
-    else:
-        coarse, m = values
-        err = np.abs(m - coarse) + 1e-15 * (1.0 + np.abs(m))
-        diverged = np.zeros(m.shape, dtype=bool)
-
-    failed = np.array([f is not None for f in failures]).reshape(zz.shape)
-    bad = failed.any(axis=0) | diverged
+    failed = np.array([f is not None for f in failures]).reshape(shape)
+    bad = failed.any(axis=0) | (err > SINGULAR_ERR * (1.0 + np.abs(m)))
     if bad.any():
         i, s = divmod(int(np.argmax(bad.T)), len(sides))
         if failed[:, s, i].any():
-            rung = int(np.argmax(failed[:, s, i]))
-            raise failures[np.ravel_multi_index((rung, s, i), zz.shape)]
-        raise ExtrapolationDivergence(
-            f"extrapolants diverge at lambda={float(z[i].real)} (side={sides[s]}); "
-            "lambda may sit at a spectral singularity"
+            tol = int(np.argmax(failed[:, s, i]))
+            raise failures[np.ravel_multi_index((tol, s, i), shape)]
+        at = f"lambda={float(z[i].real)}" if z[i].imag == 0 else f"z={complex(z[i])}"
+        raise SpectralSingularity(
+            f"error bar {err[s, i]:.3g} exceeds {SINGULAR_ERR:g} * (1 + |m|) at {at} "
+            f"(side={sides[s]}); m may have a pole there"
         )
     return m, err
 
@@ -336,7 +304,7 @@ def interior_m(side: str, p: Potential, z: complex, opts: SolverOptions | None =
     z = complex(z)
     if not z.imag > 0:
         raise ValueError("interior_m requires Im z > 0; use boundary_m on the real axis")
-    m, err = _m_values(p, [z], (side,), opts, ladder=False)
+    m, err = _m_values(p, [z], (side,), opts)
     return MValue(side=side, z=z, m=complex(m[0, 0]), err_estimate=float(err[0, 0]))
 
 
@@ -345,31 +313,29 @@ def sweep(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Boundary values m(lambda + i0) on both sides at every energy of grid.
 
-    All energies, both sides and every tolerance or eps rung are integrated
-    as one lockstep batch; the result at each energy equals boundary_m's,
-    bit for bit.  Returns the arrays (m_l, m_r, err_l, err_r).  A failure
-    raises the typed error of the first failing energy in grid order, left
-    side before right.
+    All energies, both sides and both tolerances are integrated as one
+    lockstep batch; the result at each energy equals boundary_m's, bit for
+    bit.  Returns the arrays (m_l, m_r, err_l, err_r).  A failure, a refused
+    error bar included, raises the typed error of the first failing energy in
+    grid order, left side before right.
     """
     opts = opts or SolverOptions()
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1:
         raise ValueError("grid must be a 1D sequence of energies")
-    m, err = _m_values(p, grid, ("left", "right"), opts, ladder=not p.exact_support)
+    m, err = _m_values(p, grid, ("left", "right"), opts)
     return m[0], m[1], err[0], err[1]
 
 
 def boundary_m(side: str, p: Potential, lam: float, opts: SolverOptions | None = None) -> MValue:
-    """Boundary value m(lambda + i0).
+    """Boundary value m(lambda + i0), integrated at real energy.
 
-    Exact compact support: integrate at real energy with the oscillatory (or
-    decaying, below the tail) initialization.  Otherwise: evaluate down the
-    eps ladder and extrapolate polynomially to eps = 0; the error estimate is
-    the gap between the last two extrapolants.
+    The error estimate is the change of m when the ODE tolerances are halved;
+    an estimate above SINGULAR_ERR * (1 + |m|) raises SpectralSingularity.
     """
     opts = opts or SolverOptions()
     lam = float(lam)
-    m, err = _m_values(p, [lam], (side,), opts, ladder=not p.exact_support)
+    m, err = _m_values(p, [lam], (side,), opts)
     return MValue(side=side, z=complex(lam, 0.0), m=complex(m[0, 0]), err_estimate=float(err[0, 0]))
 
 

@@ -204,6 +204,27 @@ def test_resonant_grid_point_exits_3(tmp_path, capsys):
     assert "ResonantDenominator" in err
 
 
+def test_band_edge_grid_point_exits_3(tmp_path, capsys):
+    # lambda = 0 is the band edge of the sech^2 well, where m has its pole;
+    # truncation to compact support must not turn it into a number
+    cfg = write_config(
+        tmp_path,
+        "edge.json",
+        {"potential": {"kind": "poschl_teller", "nu": 1, "truncate_tol": 1e-12}, "lambda_grid": [0.0]},
+    )
+    out = tmp_path / "m.csv"
+    assert main(["mfunction", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "SpectralSingularity" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_removed_solver_option_exits_2(tmp_path):
+    cfg = write_config(
+        tmp_path, "eps.json", {"potential": {"kind": "zero"}, "solver": {"eps_ladder": [1e-2, 1e-3]}}
+    )
+    assert main(["mfunction", "--config", str(cfg)]) == 2
+
+
 def test_load_config_validation(tmp_path):
     cfg = write_config(tmp_path, "nocmd.json", {"potential": {"kind": "zero"}})
     with pytest.raises(ConfigParseError):

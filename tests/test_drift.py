@@ -1,13 +1,21 @@
 """Drift pin: CLI artifacts stay within their own error bars of a fixed reference.
 
-The CSVs under tests/data/drift/ were written by the scalar-loop solver of
-commit c2c11ad.  Every numeric field of today's artifact must lie within the
-reference row's `err`, or within NO_ERR_TOL for artifacts without an `err`
-column; text fields must match exactly.  Regenerate the references from a
-checkout of that commit with
+Every numeric field of today's artifact must lie within the reference row's
+`err`, or within NO_ERR_TOL for artifacts without an `err` column; text
+fields must match exactly.  The CSVs under tests/data/drift/ come from two
+trees:
 
-    parent=$(mktemp -d) && git archive c2c11ad | tar -x -C "$parent" \\
-        && python tests/test_drift.py "$parent/src"
+* barrier_* and sampled_*: the scalar-loop solver of commit c2c11ad;
+* pt2_* and gaussian_*: the commit that made real-energy integration the
+  only boundary-value path (child of efb5e4b).  The earlier references came
+  from the eps-ladder, whose `err` understated its own error: at lambda=9.71
+  the ladder's PT nu=2 m missed the closed form by 3.4e-13 against an `err`
+  of 7.3e-14, and the direct value is nearer the closed form at every energy.
+
+Regenerate the references of some potentials from a checkout of a commit with
+
+    tree=$(mktemp -d) && git archive <commit> | tar -x -C "$tree" \\
+        && python tests/test_drift.py "$tree/src" pt2 gaussian
 """
 import csv
 import io
@@ -65,7 +73,7 @@ if __name__ == "__main__":
     from weylscatter import cli
 
     DATA.mkdir(parents=True, exist_ok=True)
-    for name in POTENTIALS:
+    for name in sys.argv[2:] or POTENTIALS:
         for command in COMMANDS:
             _artifact(cli, DATA, name, command)
             (DATA / f"{name}_{command}.json").unlink()

@@ -15,7 +15,6 @@ from weylscatter import (
     Truncated,
     Zero,
     effective_support,
-    evaluate,
     potential_from_config,
     potential_from_json,
     truncated,
@@ -35,25 +34,25 @@ LIBRARY = [
 
 
 def test_evaluate_zero():
-    assert evaluate(Zero(), 3.7) == 0.0
+    assert Zero().value(3.7) == 0.0
 
 
 def test_evaluate_barrier_inside():
-    assert evaluate(SquareBarrier(height=2.0, half_width=0.5), 0.25) == 2.0
-    assert evaluate(SquareBarrier(height=2.0, half_width=0.5), 0.75) == 0.0
+    assert SquareBarrier(height=2.0, half_width=0.5).value(0.25) == 2.0
+    assert SquareBarrier(height=2.0, half_width=0.5).value(0.75) == 0.0
 
 
 def test_evaluate_poschl_teller_at_origin():
-    assert evaluate(PoschlTeller(nu=1), 0.0) == -2.0
+    assert PoschlTeller(nu=1).value(0.0) == -2.0
 
 
 def test_evaluate_deterministic_and_array_consistent():
     xs = np.linspace(-5, 5, 101)
     for p in LIBRARY:
-        a = evaluate(p, xs)
-        b = evaluate(p, xs)
+        a = p.value(xs)
+        b = p.value(xs)
         assert np.array_equal(a, b)
-        scalar = np.array([evaluate(p, float(x)) for x in xs])
+        scalar = np.array([p.value(float(x)) for x in xs])
         assert np.array_equal(np.asarray(a, dtype=float), scalar)
 
 
@@ -62,7 +61,7 @@ def test_lower_bound_holds_on_quasirandom_points():
     frac = np.mod(np.arange(1, 100_001) * phi, 1.0)
     xs = -100.0 + 200.0 * frac
     for p in LIBRARY:
-        values = np.asarray(evaluate(p, xs), dtype=float)
+        values = np.asarray(p.value(xs), dtype=float)
         assert np.all(values >= p.lower_bound - 1e-15), type(p).__name__
 
 
@@ -89,7 +88,7 @@ def test_effective_support_poschl_teller_derived():
     assert got == pytest.approx(x_ref, rel=1e-12)
     # tail is monotone beyond the returned radius
     xs = np.linspace(got, got + 20, 200)
-    vals = np.abs(evaluate(PoschlTeller(nu=1), xs))
+    vals = np.abs(PoschlTeller(nu=1).value(xs))
     assert np.all(np.diff(vals) <= 0)
     assert np.all(vals <= tol * (1 + 1e-12))
 
@@ -135,9 +134,9 @@ def test_validate_rejects_bad_nu():
 
 def test_sampled_interpolation_and_tails():
     p = Sampled(xs=[-1.0, 1.0], vs=[0.0, 2.0], tail_left=0.0, tail_right=2.0)
-    assert evaluate(p, 0.0) == 1.0
-    assert evaluate(p, -5.0) == 0.0
-    assert evaluate(p, 5.0) == 2.0
+    assert p.value(0.0) == 1.0
+    assert p.value(-5.0) == 0.0
+    assert p.value(5.0) == 2.0
     assert p.tail_value("left") == 0.0
     assert p.tail_value("right") == 2.0
 
@@ -146,16 +145,16 @@ def test_step_tail_values():
     p = Step(left_value=-1.0, right_value=3.0)
     assert p.tail_value("left") == -1.0
     assert p.tail_value("right") == 3.0
-    assert evaluate(p, -0.1) == -1.0
-    assert evaluate(p, 0.0) == 3.0
+    assert p.value(-0.1) == -1.0
+    assert p.value(0.0) == 3.0
 
 
 def test_truncated_clips_tails():
     p = truncated(PoschlTeller(nu=1), 1e-12)
     assert isinstance(p, Truncated)
     r = p.support_radius
-    assert evaluate(p, r + 1e-9) == 0.0
-    assert evaluate(p, r - 1e-9) != 0.0
+    assert p.value(r + 1e-9) == 0.0
+    assert p.value(r - 1e-9) != 0.0
     assert p.exact_support
 
 
@@ -178,7 +177,7 @@ def test_mean_value_against_riemann_sum():
     for p in LIBRARY:
         for a, b in [(-1.3, 0.7), (0.2, 0.4), (-4.0, 4.0)]:
             xs = np.linspace(a, b, 20001)
-            riemann = float(np.trapezoid(np.asarray(evaluate(p, xs), dtype=float), xs)) / (b - a)
+            riemann = float(np.trapezoid(np.asarray(p.value(xs), dtype=float), xs)) / (b - a)
             assert p.mean_value(a, b) == pytest.approx(riemann, abs=3e-4), type(p).__name__
 
 
@@ -186,7 +185,7 @@ def test_config_square_barrier():
     cfg = {"kind": "square_barrier", "height": 2.0, "half_width": 0.5, "center": 0.0}
     p = potential_from_config(cfg)
     assert isinstance(p, SquareBarrier)
-    assert evaluate(p, 0.0) == 2.0
+    assert p.value(0.0) == 2.0
 
 
 def test_config_truncate_tol_wraps():
@@ -213,8 +212,8 @@ def test_config_sampled_csv(tmp_path):
         {"kind": "sampled", "csv": "v.csv", "tail_left": 0.0, "tail_right": 0.0},
         base_dir=tmp_path,
     )
-    assert evaluate(p, 0.0) == 1.0
-    assert evaluate(p, 0.5) == 0.5
+    assert p.value(0.0) == 1.0
+    assert p.value(0.5) == 0.5
 
 
 def test_config_sampled_csv_missing_file(tmp_path):

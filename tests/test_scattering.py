@@ -11,7 +11,6 @@ from weylscatter import (
     Zero,
     analyze,
     boundary_pair,
-    evaluate,
     green00,
     interior_m,
     reflectionless_scan,

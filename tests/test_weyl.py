@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from weylscatter import (
-    ExtrapolationDivergence,
     GaussianBump,
     NodeAtOrigin,
     OdeStepFailure,
@@ -14,6 +13,7 @@ from weylscatter import (
     Potential,
     Sampled,
     SolverOptions,
+    SpectralSingularity,
     SquareBarrier,
     Step,
     Zero,
@@ -151,6 +151,14 @@ def test_boundary_poschl_teller_closed_forms():
         ref = 1j * math.sqrt(lam) * (lam + 4.0) / (lam + 1.0)
         mv = boundary_m("right", PoschlTeller(nu=2), lam, OPTS)
         assert abs(mv.m - ref) < max(1e-8, 10 * mv.err_estimate)
+    # near the threshold m is large (nu=1) or small (nu=2); a plain bound,
+    # with no error-bar allowance
+    for lam in (1e-4, 1e-3, 1e-2, 0.05):
+        for side in ("left", "right"):
+            mv = boundary_m(side, PoschlTeller(nu=1), lam, OPTS)
+            assert abs(mv.m - 1j * (lam + 1.0) / math.sqrt(lam)) < 1e-8
+            mv = boundary_m(side, PoschlTeller(nu=2), lam, OPTS)
+            assert abs(mv.m - 1j * math.sqrt(lam) * (lam + 4.0) / (lam + 1.0)) < 1e-8
 
 
 def test_boundary_truncated_poschl_teller_fast_path():
@@ -224,10 +232,10 @@ def test_boundary_err_estimate_scaling():
         assert abs(fine.m - coarse.m) < 10 * coarse.err_estimate + 1e-14
 
 
-def test_extrapolation_divergence_at_band_edge():
+def test_spectral_singularity_at_band_edge():
     # the half-line m of the sech^2 well blows up like lambda^(-1/2) at the
-    # band edge, so the eps ladder cannot settle there
-    with pytest.raises(ExtrapolationDivergence):
+    # band edge, so the solves at two tolerances disagree at leading order
+    with pytest.raises(SpectralSingularity, match=r"lambda=0\.0 \(side=right\)"):
         boundary_m("right", PoschlTeller(nu=1), 0.0, OPTS)
 
 
@@ -276,8 +284,6 @@ def test_ode_step_failure_on_unintegrable_values():
 def test_solver_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(rel_ode_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverOptions(eps_ladder=(1e-3, 1e-2))
     with pytest.raises(ValueError):
         SolverOptions(renorm_interval=0)
 
@@ -333,5 +339,10 @@ def test_sweep_error_names_first_failing_energy():
     # first one in grid order, whichever lane failed first in time
     with pytest.raises(OdeStepFailure, match=r"side=right, z=\(3\+0j\)"):
         sweep(_PoisonedPotential(), [3.0, 1.0, 2.0], OPTS)
-    with pytest.raises(ExtrapolationDivergence, match=r"lambda=0\.0 \(side=left\)"):
+    with pytest.raises(SpectralSingularity, match=r"lambda=0\.0 \(side=left\)"):
         sweep(PoschlTeller(nu=1), [2.0, 0.0, 1.0], OPTS)
+    # truncation gives exact compact support, yet m keeps its poles: the band
+    # edge 0 for nu=1 and the half-line eigenvalue -1 for nu=2
+    for nu, pole in ((1, 0.0), (2, -1.0)):
+        with pytest.raises(SpectralSingularity, match=rf"lambda={pole} \(side=left\)"):
+            sweep(truncated(PoschlTeller(nu=nu), 1e-12), [0.5, pole, 2.0], OPTS)
