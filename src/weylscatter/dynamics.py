@@ -84,25 +84,23 @@ class SplitStepPropagator:
     """Strang-split spectral stepper: half potential, full kinetic, half potential.
 
     Each step is exactly unitary up to roundoff, so the discrete norm is a
-    conserved quantity of the scheme.  The potential is sampled as exact cell
-    averages: pointwise sampling of a discontinuous V quantizes its width to
-    the grid and biases reflection at O(dx).
+    conserved quantity of the scheme.  V is sampled as cell averages, integrated
+    between its breakpoints by Gauss-Legendre: pointwise sampling of a
+    discontinuous V quantizes its width to the grid and biases reflection at O(dx).
     """
 
     def __init__(self, p: Potential, half_length: float, n_points: int, dt: float):
         self.half_length = float(half_length)
         self.n_points = int(n_points)
         self.dt = float(dt)
-        self.dx = 2.0 * self.half_length / self.n_points
-        self.x = -self.half_length + self.dx * np.arange(self.n_points)
-        self.k = 2.0 * math.pi * np.fft.fftfreq(self.n_points, d=self.dx)
+        self.x, self.dx, self.k = _grid(self.half_length, self.n_points)
         self.v = self._cell_averaged(p)
         self._half_potential = np.exp(-0.5j * self.dt * self.v)
         self._kinetic = np.exp(-1j * self.dt * self.k**2)
 
     def _cell_averaged(self, p: Potential) -> np.ndarray:
         half = 0.5 * self.dx
-        return np.array([p.mean_value(xi - half, xi + half) for xi in self.x])
+        return p.mean_value(self.x - half, self.x + half)
 
     def step(self, psi: np.ndarray, n_steps: int = 1) -> np.ndarray:
         for _ in range(n_steps):
@@ -115,10 +113,22 @@ class SplitStepPropagator:
         return float(np.sum(np.abs(psi) ** 2) * self.dx)
 
     def initial_packet(self, spec: PacketSpec) -> np.ndarray:
-        psi = (2.0 * math.pi * spec.sigma_x**2) ** -0.25 * np.exp(
-            -((self.x - spec.x0) ** 2) / (4.0 * spec.sigma_x**2) + 1j * spec.k0 * self.x
-        )
-        return psi / math.sqrt(self.norm_sq(psi))
+        return _gaussian_packet(spec, self.x, self.dx)
+
+
+def _grid(half_length: float, n_points: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """Nodes x and spacing dx of the periodic box, and the FFT momenta k."""
+    dx = 2.0 * half_length / n_points
+    x = -half_length + dx * np.arange(n_points)
+    return x, dx, 2.0 * math.pi * np.fft.fftfreq(n_points, d=dx)
+
+
+def _gaussian_packet(spec: PacketSpec, x: np.ndarray, dx: float) -> np.ndarray:
+    """The packet of spec sampled at x, normalized so that sum |psi|^2 dx = 1."""
+    psi = (2.0 * math.pi * spec.sigma_x**2) ** -0.25 * np.exp(
+        -((x - spec.x0) ** 2) / (4.0 * spec.sigma_x**2) + 1j * spec.k0 * x
+    )
+    return psi / math.sqrt(float(np.sum(np.abs(psi) ** 2) * dx))
 
 
 def momentum_density(spec: PacketSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -126,15 +136,9 @@ def momentum_density(spec: PacketSpec) -> tuple[np.ndarray, np.ndarray]:
 
     Returned sorted by k and normalized so that sum(density) * dk = 1.
     """
-    dx = 2.0 * spec.half_length / spec.n_points
-    x = -spec.half_length + dx * np.arange(spec.n_points)
-    psi = (2.0 * math.pi * spec.sigma_x**2) ** -0.25 * np.exp(
-        -((x - spec.x0) ** 2) / (4.0 * spec.sigma_x**2) + 1j * spec.k0 * x
-    )
-    psi = psi / math.sqrt(float(np.sum(np.abs(psi) ** 2) * dx))
-    k = 2.0 * math.pi * np.fft.fftfreq(spec.n_points, d=dx)
+    x, dx, k = _grid(spec.half_length, spec.n_points)
     dk = 2.0 * math.pi / (spec.n_points * dx)
-    phi = np.fft.fft(psi) * dx / math.sqrt(2.0 * math.pi)
+    phi = np.fft.fft(_gaussian_packet(spec, x, dx)) * dx / math.sqrt(2.0 * math.pi)
     density = np.abs(phi) ** 2
     density = density / (float(np.sum(density)) * dk)
     order = np.argsort(k)

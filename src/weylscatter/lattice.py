@@ -130,7 +130,9 @@ def resolvent_difference_check(
     size = 2 * model.n + 1
     mid = model.n
     a_full = ham.astype(complex) - model.z * np.eye(size)
-    condition = float(np.linalg.cond(a_full))
+    # H is real symmetric, so H - z is normal and its singular values are |lambda_i - z|
+    dist = np.abs(np.linalg.eigvalsh(ham) - model.z)
+    condition = float(dist.max() / dist.min()) if dist.min() > 0.0 else math.inf
     if not math.isfinite(condition) or condition > _COND_LIMIT:
         raise SingularResolvent(f"resolvent solve condition number {condition:.3e}")
     resolvent = np.linalg.inv(a_full)

@@ -44,6 +44,7 @@ SUPPORT_MARGIN = 2.0
 SINGULAR_ERR = 1e-8
 
 _MAX_STEPS = 2_000_000
+_RENORM_INTERVAL = 16  # accepted steps between rescalings of (u, u')
 
 
 @dataclass(frozen=True)
@@ -53,13 +54,10 @@ class SolverOptions:
     truncation_tol: float = 1e-12
     rel_ode_tol: float = 1e-10
     abs_ode_tol: float = 1e-12
-    renorm_interval: int = 16
 
     def __post_init__(self):
         if self.truncation_tol <= 0 or self.rel_ode_tol <= 0 or self.abs_ode_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.renorm_interval < 1:
-            raise ValueError("renorm_interval must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -219,7 +217,7 @@ def _integrate(p: Potential, z, right, rtol, atol, opts: SolverOptions):
         np.copyto(y, y_new, where=ok)
         np.copyto(k[0], k[6], where=ok)  # FSAL
         accepted += ok
-        renorm = ok & (accepted % opts.renorm_interval == 0)
+        renorm = ok & (accepted % _RENORM_INTERVAL == 0)
         if renorm.any():
             size = np.maximum(np.abs(y[0]), np.abs(y[1]))
             renorm &= size > 0.0

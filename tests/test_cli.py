@@ -219,10 +219,9 @@ def test_band_edge_grid_point_exits_3(tmp_path, capsys):
 
 
 def test_removed_solver_option_exits_2(tmp_path):
-    cfg = write_config(
-        tmp_path, "eps.json", {"potential": {"kind": "zero"}, "solver": {"eps_ladder": [1e-2, 1e-3]}}
-    )
-    assert main(["mfunction", "--config", str(cfg)]) == 2
+    for solver in ({"eps_ladder": [1e-2, 1e-3]}, {"renorm_interval": 16}):
+        cfg = write_config(tmp_path, "removed.json", {"potential": {"kind": "zero"}, "solver": solver})
+        assert main(["mfunction", "--config", str(cfg)]) == 2, solver
 
 
 def test_load_config_validation(tmp_path):

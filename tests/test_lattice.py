@@ -33,6 +33,8 @@ def test_barrier_at_complex_energy():
     report = resolvent_difference_check(model)
     assert report.sv_ratio <= 1e-10
     assert report.coeff_resid <= 1e-8
+    a_full = _hamiltonian(model) - model.z * np.eye(2 * model.n + 1)
+    assert report.condition == pytest.approx(np.linalg.cond(a_full), rel=1e-10)
 
 
 def test_rank_one_entry_restatement():

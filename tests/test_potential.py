@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,12 @@ def test_evaluate_deterministic_and_array_consistent():
         assert np.array_equal(a, b)
         scalar = np.array([p.value(float(x)) for x in xs])
         assert np.array_equal(np.asarray(a, dtype=float), scalar)
+        # cell averages: one array call equals one call per cell, b <= a included
+        lo, hi = xs[:-1], xs[:-1] + np.linspace(-0.2, 3.0, xs.size - 1)
+        means = p.mean_value(lo, hi)
+        scalar = [p.mean_value(float(a), float(b)) for a, b in zip(lo, hi)]
+        assert all(isinstance(m, float) for m in scalar)
+        assert np.array_equal(means, scalar), type(p).__name__
 
 
 def test_lower_bound_holds_on_quasirandom_points():
@@ -179,6 +186,41 @@ def test_mean_value_against_riemann_sum():
             xs = np.linspace(a, b, 20001)
             riemann = float(np.trapezoid(np.asarray(p.value(xs), dtype=float), xs)) / (b - a)
             assert p.mean_value(a, b) == pytest.approx(riemann, abs=3e-4), type(p).__name__
+
+
+def test_mean_value_matches_closed_forms():
+    # references from the antiderivatives tanh and erf
+    rng = np.random.default_rng(5)
+    bump = GaussianBump(amplitude=1.5, sigma=0.8, center=-0.3)
+    scale = bump.sigma * math.sqrt(2.0)
+    erf = np.vectorize(math.erf)
+    for width in np.geomspace(0.01, 30.0, 9):
+        a = rng.uniform(-15.0, 15.0, 50)
+        b = a + width
+        for nu in (1, 2):
+            pt = PoschlTeller(nu=nu)
+            ref = -nu * (nu + 1) * (np.tanh(b) - np.tanh(a)) / (b - a)
+            assert np.max(np.abs(pt.mean_value(a, b) - ref)) <= 1e-12, (nu, width)
+        anti = bump.amplitude * bump.sigma * math.sqrt(math.pi / 2.0)
+        ref = anti * (erf((b - bump.center) / scale) - erf((a - bump.center) / scale)) / (b - a)
+        assert np.max(np.abs(bump.mean_value(a, b) - ref)) <= 1e-12, width
+
+
+def test_mean_value_many_breakpoints_small_memory():
+    xs = np.linspace(-200.0, 200.0, 2000)
+    p = Sampled(xs=xs, vs=np.sin(xs))
+    dx = 600.0 / 16384
+    cells = -300.0 + dx * np.arange(16384)
+    tracemalloc.start()
+    try:
+        means = p.mean_value(cells, cells + dx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a cells x breakpoints table would take about 250 MiB
+    assert peak < 64 * 2**20
+    # exact on the piecewise linear variant: the cells tile the support
+    assert float(np.sum(means) * dx) == pytest.approx(float(np.trapezoid(p.vs, xs)), abs=1e-12)
 
 
 def test_config_square_barrier():

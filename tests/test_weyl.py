@@ -284,8 +284,6 @@ def test_ode_step_failure_on_unintegrable_values():
 def test_solver_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(rel_ode_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverOptions(renorm_interval=0)
 
 
 def test_side_validation():
