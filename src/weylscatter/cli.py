@@ -233,24 +233,37 @@ def _cmd_scan(config: RunConfig):
 def auto_packet(p: Potential, overrides: dict) -> tuple[PacketSpec, int, str | None]:
     """Fill a PacketSpec from overrides, deriving sensible defaults from the potential."""
     overrides = dict(overrides)
-    trace_stride = int(overrides.pop("trace_stride", 0))
+
+    def number(name, default, kind=float):
+        try:
+            return kind(overrides.pop(name, default))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigParseError(f"packet field {name}: {exc}") from None
+
+    def positive(name, value):
+        # the defaults below divide by k0 and sigma_x
+        if not 0.0 < value < math.inf:
+            raise ConfigParseError(f"packet field {name} must be positive and finite, got {value!r}")
+        return value
+
+    trace_stride = number("trace_stride", 0, int)
     trace_path = overrides.pop("trace_path", None)
-    k0 = float(overrides.pop("k0", 1.5))
-    sigma = float(overrides.pop("sigma_x", max(6.0, 4.0 / k0)))
+    k0 = positive("k0", number("k0", 1.5))
+    sigma = positive("sigma_x", number("sigma_x", max(6.0, 4.0 / k0)))
     support = effective_support(p, 1e-12)
-    x0 = float(overrides.pop("x0", -(support + 4.0 * sigma + 8.0)))
+    x0 = number("x0", -(support + 4.0 * sigma + 8.0))
     # the transmitted front must not reach the edge zone before the slow tail
     # clears the interaction region, so leave generous clearance
-    half_length = float(overrides.pop("half_length", abs(x0) + 100.0))
+    half_length = number("half_length", abs(x0) + 100.0)
     k_need = k0 + 4.0 / sigma + 3.0
     n_min = 2.0 * half_length * k_need / math.pi
     n_default = 1024
-    while n_default < n_min:
+    while n_default < n_min < math.inf:
         n_default *= 2
-    n_points = int(overrides.pop("n_points", n_default))
-    dt = float(overrides.pop("dt", 0.01))
+    n_points = number("n_points", n_default, int)
+    dt = number("dt", 0.01)
     v_slow = max(2.0 * (k0 - 4.0 / sigma), k0)
-    t_max = float(overrides.pop("t_max", 3.0 * (abs(x0) + half_length) / v_slow))
+    t_max = number("t_max", 3.0 * (abs(x0) + half_length) / v_slow)
     if overrides:
         raise ConfigParseError(f"unknown packet fields: {', '.join(sorted(overrides))}")
     spec = PacketSpec(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryLeak, NotConverged
+from .errors import BoundaryLeak, InvalidPacket, NotConverged
 from .potential import Potential, effective_support
 from .scattering import DEFAULT_SUPPORT_THRESHOLD, boundary_pairs, spectral_reflection
 from .weyl import SolverOptions
@@ -22,6 +22,7 @@ from .weyl import SolverOptions
 _INTERACTION_MASS_TOL = 1e-6
 _EDGE_MASS_TOL = 1e-4
 _DENSITY_CUTOFF = 1e-13  # relative weight below which momentum bins are ignored
+_SPLIT_MIN_POINTS = 8192  # grids from here on take the four-step FFT
 
 
 @dataclass(frozen=True)
@@ -42,30 +43,35 @@ class PacketSpec:
     t_max: float
 
     def __post_init__(self):
-        if self.k0 <= 0 or self.sigma_x <= 0 or self.half_length <= 0:
-            raise ValueError("k0, sigma_x, half_length must be positive")
-        if self.dt <= 0 or self.t_max <= 0:
-            raise ValueError("dt and t_max must be positive")
+        # in the order auto_packet derives its defaults, so the first field
+        # named is the one the others were derived from
+        for name in ("k0", "sigma_x", "x0", "half_length", "dt", "t_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidPacket(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not (self.k0 > 0 and self.sigma_x > 0 and self.half_length > 0):
+            raise InvalidPacket("k0, sigma_x, half_length must be positive")
+        if not (self.dt > 0 and self.t_max > 0):
+            raise InvalidPacket("dt and t_max must be positive")
         n = self.n_points
         if n < 2 or (n & (n - 1)) != 0:
-            raise ValueError("n_points must be a power of two")
+            raise InvalidPacket(f"n_points must be a power of two, got {n}")
 
     def validate_against(self, p: Potential, truncation_tol: float = 1e-12) -> None:
         """Narrow-band and placement invariants relative to the potential."""
         if p.tail_value("left") != 0.0 or p.tail_value("right") != 0.0:
             # nonzero tails would wrap into a spurious interface at the
             # periodic boundary of the spectral grid
-            raise ValueError("wave-packet evolution requires zero potential tails")
+            raise InvalidPacket("wave-packet evolution requires zero potential tails")
         support = effective_support(p, truncation_tol)
         if not self.x0 + 4.0 * self.sigma_x < -support:
-            raise ValueError("packet must start in the zero-tail region left of the support")
+            raise InvalidPacket("packet must start in the zero-tail region left of the support")
         if self.x0 - 4.0 * self.sigma_x <= -self.half_length:
-            raise ValueError("packet tail sticks out of the box; enlarge half_length")
+            raise InvalidPacket("packet tail sticks out of the box; enlarge half_length")
         if self.k0 * self.sigma_x < 4.0:
-            raise ValueError("narrow-band condition k0 * sigma_x >= 4 violated")
+            raise InvalidPacket("narrow-band condition k0 * sigma_x >= 4 violated")
         k_need = self.k0 + 4.0 / self.sigma_x
         if self.n_points < 2.0 * self.half_length * k_need / math.pi:
-            raise ValueError("n_points too small to resolve the packet's momenta")
+            raise InvalidPacket("n_points too small to resolve the packet's momenta")
 
 
 @dataclass(frozen=True)
@@ -87,6 +93,18 @@ class SplitStepPropagator:
     conserved quantity of the scheme.  V is sampled as cell averages, integrated
     between its breakpoints by Gauss-Legendre: pointwise sampling of a
     discontinuous V quantizes its width to the grid and biases reflection at O(dx).
+
+    `step` works in place on one complex array of shape (n1, n2), n1 * n2 =
+    n_points, holding psi in row-major order.  numpy's FFT allocates a scratch
+    array of n complex values on every call; from n_points = 8192 that is
+    128 KiB or more, glibc's default mmap threshold, so a call can map and
+    fault in fresh pages however its output is buffered.  There n1 is the
+    largest divisor of n_points not above its square root, and each transform
+    is Bailey's four-step FFT: short FFTs down the columns, a twiddle multiply
+    exp(-2 pi i k1 j2 / n), short FFTs along the rows.  The result sits in transposed order, entry (k1, k2) holding
+    momentum index k1 + n1 k2, and the kinetic phase is stored in that order,
+    so no transpose is ever built.  Below 8192 points n1 = 1, and a step is
+    the plain one-FFT Strang step, bit for bit.
     """
 
     def __init__(self, p: Potential, half_length: float, n_points: int, dt: float):
@@ -95,25 +113,56 @@ class SplitStepPropagator:
         self.dt = float(dt)
         self.x, self.dx, self.k = _grid(self.half_length, self.n_points)
         self.v = self._cell_averaged(p)
-        self._half_potential = np.exp(-0.5j * self.dt * self.v)
-        self._kinetic = np.exp(-1j * self.dt * self.k**2)
+        n1 = _split_rows(self.n_points)
+        n2 = self.n_points // n1
+        self._shape = (n1, n2)
+        self._half_potential = np.exp(-0.5j * self.dt * self.v).reshape(n1, n2)
+        self._kinetic = np.exp(-1j * self.dt * self.k**2).reshape(n2, n1).T.copy()
+        self._twiddle = self._twiddle_inv = None
+        if n1 > 1:
+            k1, j2 = np.ogrid[:n1, :n2]
+            self._twiddle = np.exp((-2j * math.pi / self.n_points) * (k1 * j2))
+            self._twiddle_inv = np.conj(self._twiddle)
 
     def _cell_averaged(self, p: Potential) -> np.ndarray:
         half = 0.5 * self.dx
         return p.mean_value(self.x - half, self.x + half)
 
     def step(self, psi: np.ndarray, n_steps: int = 1) -> np.ndarray:
+        a = np.array(psi, dtype=complex).reshape(self._shape)
         for _ in range(n_steps):
-            psi = self._half_potential * psi
-            psi = np.fft.ifft(self._kinetic * np.fft.fft(psi))
-            psi = self._half_potential * psi
-        return psi
+            np.multiply(self._half_potential, a, out=a)
+            self._fft(a)
+            np.multiply(self._kinetic, a, out=a)
+            self._ifft(a)
+            np.multiply(self._half_potential, a, out=a)
+        return a.reshape(-1)
+
+    def _fft(self, a: np.ndarray) -> None:
+        if self._twiddle is not None:
+            np.fft.fft(a, axis=0, out=a)
+            np.multiply(a, self._twiddle, out=a)
+        np.fft.fft(a, axis=1, out=a)
+
+    def _ifft(self, a: np.ndarray) -> None:
+        np.fft.ifft(a, axis=1, out=a)
+        if self._twiddle is not None:
+            np.multiply(a, self._twiddle_inv, out=a)
+            np.fft.ifft(a, axis=0, out=a)
 
     def norm_sq(self, psi: np.ndarray) -> float:
         return float(np.sum(np.abs(psi) ** 2) * self.dx)
 
     def initial_packet(self, spec: PacketSpec) -> np.ndarray:
         return _gaussian_packet(spec, self.x, self.dx)
+
+
+def _split_rows(n: int) -> int:
+    """Rows of the propagator's work array: 1 below _SPLIT_MIN_POINTS, else the
+    largest divisor of n not above sqrt(n)."""
+    if n < _SPLIT_MIN_POINTS:
+        return 1
+    return max(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
 
 
 def _grid(half_length: float, n_points: int) -> tuple[np.ndarray, float, np.ndarray]:

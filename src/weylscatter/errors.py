@@ -26,6 +26,10 @@ class ConfigParseError(ValidationError):
     """A run configuration file could not be parsed or validated."""
 
 
+class InvalidPacket(ValidationError):
+    """A wave-packet specification violates one of its invariants."""
+
+
 class InvalidSlabWidth(ValidationError):
     """Slab width passed to the transfer-matrix oracle is unusable."""
 

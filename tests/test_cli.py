@@ -194,6 +194,32 @@ def test_malformed_config_exits_2(tmp_path):
     assert main(["reflect", "--config", str(nokind)]) == 2
 
 
+@pytest.mark.parametrize(
+    "packet, field",
+    [
+        ({"n_points": 1000}, "n_points"),
+        ({"dt": -1}, "dt"),
+        ({"dt": math.nan}, "dt"),
+        ({"k0": math.nan}, "k0"),
+        ({"k0": 0}, "k0"),
+        ({"t_max": math.inf}, "t_max"),
+        ({"sigma_x": math.nan}, "sigma_x"),
+        ({"half_length": math.inf}, "half_length"),
+        ({"k0": "fast"}, "k0"),
+        ({"n_points": "many"}, "n_points"),
+        ({"trace_stride": math.nan}, "trace_stride"),
+    ],
+    ids=lambda v: ",".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict) else v,
+)
+def test_bad_packet_field_exits_2(packet, field, tmp_path, capsys):
+    cfg = write_config(tmp_path, "wp.json", {"potential": {"kind": "zero"}, "packet": packet})
+    out = tmp_path / "wp.csv"
+    assert main(["wavepacket", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and field in err, err
+    assert not out.exists()
+
+
 def test_resonant_grid_point_exits_3(tmp_path, capsys):
     # lambda = 0 on the free line: m_l + m_r = 0 exactly, a Green-function pole
     cfg = write_config(

@@ -83,6 +83,29 @@ def test_stepper_norm_preservation_long_run():
     assert abs(prop.norm_sq(psi) - n0) <= 1e-10
 
 
+@pytest.mark.parametrize("n_points", [2, 1000, 2048, 8192, 8209, 10000, 16384])
+def test_step_matches_plain_strang_step(n_points):
+    # from 8192 points the propagator splits each FFT in four steps; below
+    # that it must reproduce the plain one-FFT step bit for bit
+    prop = SplitStepPropagator(SquareBarrier(height=2.0, half_width=0.5), 60.0, n_points, 0.01)
+    rng = np.random.default_rng(n_points)
+    psi = rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points)
+    original = psi.copy()
+    half_potential = np.exp(-0.5j * prop.dt * prop.v)
+    kinetic = np.exp(-1j * prop.dt * prop.k**2)
+    expected = psi
+    for _ in range(50):
+        expected = half_potential * expected
+        expected = np.fft.ifft(kinetic * np.fft.fft(expected))
+        expected = half_potential * expected
+    result = prop.step(psi, 50)
+    assert result.shape == (n_points,)
+    assert np.array_equal(psi, original)
+    assert float(np.max(np.abs(result - expected))) <= 1e-12
+    if n_points < 8192:
+        assert np.array_equal(result, expected)
+
+
 def test_time_reversal_recovers_initial_packet():
     prop = SplitStepPropagator(SquareBarrier(height=2.0, half_width=0.5), 200.0, 2048, 0.005)
     psi0 = prop.initial_packet(BARRIER_SPEC)
