@@ -200,6 +200,7 @@ def test_malformed_config_exits_2(tmp_path):
         ({"n_points": 1000}, "n_points"),
         ({"dt": -1}, "dt"),
         ({"dt": math.nan}, "dt"),
+        ({"dt": 1e-310}, "dt"),
         ({"k0": math.nan}, "k0"),
         ({"k0": 0}, "k0"),
         ({"t_max": math.inf}, "t_max"),
