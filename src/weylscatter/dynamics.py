@@ -6,6 +6,11 @@ i dpsi/dt = (-d^2/dx^2 + V) psi.  Once the interaction region has emptied, the
 sharp-cutoff masses on the two half-lines are the dynamical reflection and
 transmission probabilities.  The spectral prediction for the same packet is
 the momentum-density average of |R(k^2)|^2 over the incident band.
+
+Evolution never calls the m-solver.  A caller that solves several energy sets
+at once takes the band from `incident_band`, solves its energies with the
+rest and averages with `band_reflection`; `predicted_reflection` composes the
+two for one packet.
 """
 from __future__ import annotations
 
@@ -17,7 +22,7 @@ import numpy as np
 from .errors import BoundaryLeak, InvalidPacket, NotConverged
 from .potential import Potential, effective_support
 from .scattering import DEFAULT_SUPPORT_THRESHOLD, boundary_pairs, spectral_reflection
-from .weyl import SolverOptions
+from .weyl import MValue, SolverOptions
 
 _INTERACTION_MASS_TOL = 1e-6
 _EDGE_MASS_TOL = 1e-4
@@ -82,12 +87,11 @@ class PacketSpec:
 
 @dataclass(frozen=True)
 class PacketResult:
-    """Asymptotic masses of the evolved packet plus the spectral prediction."""
+    """Asymptotic masses of the evolved packet."""
 
     left_mass: float
     right_mass: float
     norm_drift: float
-    predicted_reflect: float
     t_stop: float
     trace: tuple[tuple[float, float, float, float], ...] = ()
 
@@ -201,6 +205,42 @@ def momentum_density(spec: PacketSpec) -> tuple[np.ndarray, np.ndarray]:
     return k[order], density[order]
 
 
+@dataclass(frozen=True)
+class IncidentBand:
+    """Momentum bins of a packet that carry weight: energies k^2 and |phi_hat(k)|^2.
+
+    Bin i weighs density[i] * dk.  Bins with k <= 0 or with density below
+    _DENSITY_CUTOFF of the peak are left out; their total mass bounds the
+    truncation error of a band average of |R|^2 <= 1.
+    """
+
+    lams: np.ndarray
+    density: np.ndarray
+    dk: float
+
+
+def incident_band(spec: PacketSpec) -> IncidentBand:
+    """The packet's incident band, for a band average of spectral quantities."""
+    k_grid, density = momentum_density(spec)
+    dk = k_grid[1] - k_grid[0]
+    cutoff = _DENSITY_CUTOFF * float(np.max(density))
+    keep = (k_grid > 0.0) & (density >= cutoff)
+    return IncidentBand(lams=k_grid[keep] ** 2, density=density[keep], dk=dk)
+
+
+def band_reflection(
+    band: IncidentBand,
+    pairs: list[tuple[MValue, MValue]],
+    s_threshold: float = DEFAULT_SUPPORT_THRESHOLD,
+) -> float:
+    """Momentum-density average of |R(k^2)|^2 from the boundary m-values at band.lams."""
+    total = 0.0
+    for lam, rho, (m_l, m_r) in zip(band.lams, band.density, pairs, strict=True):
+        rec = spectral_reflection(lam, m_l, m_r, s_threshold)
+        total += rec.reflect_prob * rho * band.dk
+    return float(total)
+
+
 def predicted_reflection(
     p: Potential,
     spec: PacketSpec,
@@ -209,29 +249,13 @@ def predicted_reflection(
 ) -> float:
     """Momentum-density average of the spectral |R(k^2)|^2 over the incident band.
 
-    Bins with negligible weight are skipped; their total mass bounds the
-    truncation error since |R|^2 <= 1.  The remaining bins are solved as one
-    sweep.
+    The band's energies are solved as one sweep.
     """
-    k_grid, density = momentum_density(spec)
-    dk = k_grid[1] - k_grid[0]
-    cutoff = _DENSITY_CUTOFF * float(np.max(density))
-    keep = (k_grid > 0.0) & (density >= cutoff)
-    lams = k_grid[keep] ** 2
-    total = 0.0
-    for lam, rho, (m_l, m_r) in zip(lams, density[keep], boundary_pairs(p, lams, opts)):
-        rec = spectral_reflection(lam, m_l, m_r, s_threshold)
-        total += rec.reflect_prob * rho * dk
-    return float(total)
+    band = incident_band(spec)
+    return band_reflection(band, boundary_pairs(p, band.lams, opts), s_threshold)
 
 
-def evolve_packet(
-    p: Potential,
-    spec: PacketSpec,
-    opts: SolverOptions | None = None,
-    s_threshold: float = DEFAULT_SUPPORT_THRESHOLD,
-    trace_stride: int = 0,
-) -> PacketResult:
+def evolve_packet(p: Potential, spec: PacketSpec, trace_stride: int = 0) -> PacketResult:
     """Evolve the packet until scattering completes and measure half-line masses.
 
     Stops at the first time (after the packet center has had time to reach the
@@ -293,12 +317,10 @@ def evolve_packet(
 
     lm, rm, _, _ = masses(psi)
     drift = abs(prop.norm_sq(psi) - norm0)
-    predicted = predicted_reflection(p, spec, opts, s_threshold)
     return PacketResult(
         left_mass=lm,
         right_mass=rm,
         norm_drift=drift,
-        predicted_reflect=predicted,
         t_stop=t_stop,
         trace=tuple(trace),
     )

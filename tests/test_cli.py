@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -282,3 +283,93 @@ def test_stdout_output(tmp_path, capsys):
     assert main(["mfunction", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("lambda,side,m_re,m_im,err\n")
+
+
+BARRIER = {"kind": "square_barrier", "height": 2.0, "half_width": 0.5}
+
+
+def _record_solves(monkeypatch, refuse=False):
+    """Wrap `sweep` wherever the package holds it, and the batch m-solver under it.
+
+    Returns the energy grids handed to `sweep` and the batches handed to the
+    m-solver, one entry per call.  With `refuse`, a sweep raises instead.
+    """
+    from weylscatter import weyl
+
+    sweeps, batches = [], []
+    sweep, m_values = weyl.sweep, weyl._m_values
+
+    def recorded_sweep(p, grid, opts=None):
+        if refuse:
+            raise AssertionError("m-solve before the packet was validated")
+        sweeps.append(np.asarray(grid))
+        return sweep(p, grid, opts)
+
+    def recorded_m_values(p, z, sides, opts):
+        batches.append(np.asarray(z))
+        return m_values(p, z, sides, opts)
+
+    for name, module in list(sys.modules.items()):
+        if name == "weylscatter" or name.startswith("weylscatter."):
+            for attr, value in list(vars(module).items()):
+                if value is sweep:
+                    monkeypatch.setattr(module, attr, recorded_sweep)
+    monkeypatch.setattr(weyl, "_m_values", recorded_m_values)
+    return sweeps, batches
+
+
+@pytest.mark.parametrize("command", ["verify", "wavepacket"])
+def test_one_sweep_per_command(command, tmp_path, monkeypatch):
+    sweeps, batches = _record_solves(monkeypatch)
+    cfg = write_config(tmp_path, "b.json", {"potential": BARRIER, "lambda_grid": [1.0, 2.0, 3.0]})
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 0
+    assert len(sweeps) == 1
+    assert len(batches) == 1
+    if command == "verify":
+        # the grid first and z_cont last, the packet's band between them
+        energies = sweeps[0]
+        assert energies[:3].tolist() == [1.0, 2.0, 3.0] and energies[-1] == -1.0
+        assert len(energies) > 4 and np.all(energies[3:-1] > 0.0)
+
+
+@pytest.mark.parametrize(
+    "packet, message",
+    [({"k0": -1}, "k0"), ({"x0": 0.0}, "zero-tail region left of the support")],
+    ids=["k0", "x0"],
+)
+def test_verify_bad_packet_exits_2_before_any_m_solve(packet, message, tmp_path, monkeypatch, capsys):
+    _, batches = _record_solves(monkeypatch, refuse=True)
+    cfg = write_config(
+        tmp_path, "b.json", {"potential": BARRIER, "lambda_grid": [1.0, 2.0], "packet": packet}
+    )
+    out = tmp_path / "v.csv"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and message in err, err
+    assert batches == [] and not out.exists()
+
+
+def test_verify_reports_the_grid_failure_before_the_band_failure(tmp_path, monkeypatch, capsys):
+    from weylscatter import OdeStepFailure, weyl
+    from weylscatter.cli import auto_packet
+    from weylscatter.dynamics import incident_band
+    from weylscatter.potential import potential_from_config
+
+    spec, _, _ = auto_packet(potential_from_config(BARRIER), {})
+    band_lam = float(incident_band(spec).lams[0])
+    grid_lam = 2.0
+    integrate = weyl._integrate
+
+    def failing(p, z, right, rtol, atol, opts):
+        m, failures = integrate(p, z, right, rtol, atol, opts)
+        for i, lam in enumerate(z.real.tolist()):
+            if lam in (grid_lam, band_lam):
+                failures[i] = OdeStepFailure(f"forced at lambda={lam!r}")
+        return m, failures
+
+    monkeypatch.setattr(weyl, "_integrate", failing)
+    cfg = write_config(tmp_path, "b.json", {"potential": BARRIER, "lambda_grid": [1.0, grid_lam]})
+    assert main(["verify", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert f"forced at lambda={grid_lam!r}" in err, err
+    assert repr(band_lam) not in err

@@ -12,13 +12,19 @@ trees:
   the ladder's PT nu=2 m missed the closed form by 3.4e-13 against an `err`
   of 7.3e-14, and the direct value is nearer the closed form at every energy;
 * *_wavepacket*: commit 7bad95d, the last tree whose split-step kernel ran
-  one unsplit numpy FFT per transform.  `t_stop` must match exactly.
+  one unsplit numpy FFT per transform.  `t_stop` must match exactly;
+* *_verify: commit b3d8728, the last tree that solved verify's energies in
+  three sweeps and read the `lattice_rank_one` residual off a full SVD.
+  Every row must match byte for byte except that one, which now reports an
+  upper bound on sv2/sv1: its residual may only grow, and must still pass.
 
 Regenerate the references of some potentials or commands from a checkout of
 a commit with
 
     tree=$(mktemp -d) && git archive <commit> | tar -x -C "$tree" \\
         && python tests/test_drift.py "$tree/src" pt2 gaussian
+
+or, for the verify references, `... "$tree/src" verify`.
 """
 import csv
 import io
@@ -45,6 +51,10 @@ COMMANDS = ("mfunction", "reflect", "scatter")
 # with a grid large enough for the split FFT of the propagator
 PACKETS = {"": {}, "_8192": {"half_length": 300, "n_points": 8192}}
 PACKET_POTENTIALS = ("barrier", "sampled")
+# verify runs on the potentials the benchmark verifies, with the drift grid,
+# the default packet and seed 0
+VERIFY_POTENTIALS = ("barrier", "gaussian", "pt2_truncated")
+SPECS = {**POTENTIALS, "pt2_truncated": {"kind": "poschl_teller", "nu": 2, "truncate_tol": 1e-12}}
 EXACT_FIELDS = {"side", "in_S_l", "in_S_r", "t_stop"}
 NO_ERR_TOL = 1e-12
 
@@ -52,7 +62,7 @@ NO_ERR_TOL = 1e-12
 def _artifact(cli, work: Path, name: str, command: str, packet: str = "") -> str:
     stem = f"{name}_{command}{packet}"
     config = work / f"{stem}.json"
-    raw = {"potential": POTENTIALS[name], "lambda_grid": LAMBDAS, "packet": PACKETS[packet]}
+    raw = {"potential": SPECS[name], "lambda_grid": LAMBDAS, "packet": PACKETS[packet]}
     config.write_text(json.dumps(raw))
     out = work / f"{stem}.csv"
     assert cli.main([command, "--config", str(config), "--out", str(out)]) == 0
@@ -96,12 +106,31 @@ def test_wavepacket_within_reference(name, packet, tmp_path):
     _assert_within_reference(reference, current)
 
 
+@pytest.mark.parametrize("name", VERIFY_POTENTIALS)
+def test_verify_matches_reference(name, tmp_path):
+    from weylscatter import cli
+
+    reference = (DATA / f"{name}_verify.csv").read_text().splitlines()
+    current = _artifact(cli, tmp_path, name, "verify").splitlines()
+    assert len(current) == len(reference)
+    for ref, cur in zip(reference, current):
+        if not ref.startswith("lattice_rank_one,"):
+            assert cur == ref
+            continue
+        ref_row, cur_row = (_rows(f"{reference[0]}\n{line}\n")[0] for line in (ref, cur))
+        assert "bound" in cur_row["detail"]
+        assert cur_row["tolerance"] == ref_row["tolerance"] == "1e-10"
+        assert float(ref_row["residual"]) <= float(cur_row["residual"]) <= 1e-10, (ref_row, cur_row)
+        assert cur_row["status"] == "pass"
+
+
 if __name__ == "__main__":
     sys.path.insert(0, sys.argv[1])
     from weylscatter import cli
 
     cases = [(name, command, "") for name in POTENTIALS for command in COMMANDS]
     cases += [(name, "wavepacket", packet) for name in PACKET_POTENTIALS for packet in PACKETS]
+    cases += [(name, "verify", "") for name in VERIFY_POTENTIALS]
     chosen = set(sys.argv[2:])
     DATA.mkdir(parents=True, exist_ok=True)
     for name, command, packet in cases:

@@ -55,14 +55,16 @@ def test_free_packet_transmits():
     assert res.left_mass <= 1e-6
     assert res.right_mass == pytest.approx(1.0, abs=1e-6)
     assert res.norm_drift <= 1e-8
-    assert res.predicted_reflect <= 1e-10
+    assert predicted_reflection(Zero(), FREE_SPEC) <= 1e-10
 
 
 def test_barrier_packet_matches_prediction():
-    res = evolve_packet(SquareBarrier(height=2.0, half_width=0.5), BARRIER_SPEC)
-    assert abs(res.left_mass - res.predicted_reflect) <= 1e-2
+    p = SquareBarrier(height=2.0, half_width=0.5)
+    res = evolve_packet(p, BARRIER_SPEC)
+    predicted = predicted_reflection(p, BARRIER_SPEC)
+    assert abs(res.left_mass - predicted) <= 1e-2
     # band center value: closed-form barrier transmit 0.41997 at lambda = 1
-    assert res.predicted_reflect == pytest.approx(1.0 - 0.4199743416140261, abs=5e-3)
+    assert predicted == pytest.approx(1.0 - 0.4199743416140261, abs=5e-3)
     assert res.left_mass + res.right_mass == pytest.approx(1.0, abs=1e-6)
 
 
@@ -70,9 +72,10 @@ def test_poschl_teller_packet_reflectionless():
     spec = PacketSpec(
         x0=-60.0, k0=1.5, sigma_x=8.0, half_length=200.0, n_points=2048, dt=0.005, t_max=150.0
     )
-    res = evolve_packet(truncated(PoschlTeller(nu=1), 1e-12), spec)
+    p = truncated(PoschlTeller(nu=1), 1e-12)
+    res = evolve_packet(p, spec)
     assert res.left_mass <= 1e-3
-    assert res.predicted_reflect <= 1e-6
+    assert predicted_reflection(p, spec) <= 1e-6
 
 
 def test_stepper_norm_preservation_long_run():

@@ -6,19 +6,31 @@ import pytest
 from weylscatter import (
     GaussianBump,
     LatticeModel,
+    PoschlTeller,
     SingularResolvent,
     SquareBarrier,
     Zero,
+    boundary_pair,
     decoupled_resolvent,
+    effective_support,
+    green00,
     lattice_model_from_potential,
     resolvent_difference_check,
+    truncated,
 )
+from weylscatter import lattice
 from weylscatter.lattice import _hamiltonian
+
+
+def _continuum_g00(p, lam):
+    """-1/(m_l + m_r) at a real energy below the spectrum, from the m-solver."""
+    m_l, m_r = boundary_pair(p, lam)
+    return green00(m_l.m, m_r.m)
 
 
 def test_zero_potential_at_minus_one():
     model = LatticeModel(n=200, h=0.05, v=np.zeros(401), z=-1.0)
-    report = resolvent_difference_check(model, potential=Zero())
+    report = resolvent_difference_check(model, _continuum_g00(Zero(), -1.0))
     assert report.sv_ratio <= 1e-10
     assert report.coeff_resid <= 1e-8
     assert report.entry_resid <= 1e-10
@@ -73,13 +85,65 @@ def test_random_models_rank_one():
         assert report.coeff_resid <= 1e-8
 
 
+# verify's lattice: mesh 0.05, box max(support + 1, 8), z drawn as verify draws it
+RANK_ONE_POTENTIALS = {
+    "barrier": SquareBarrier(height=2.0, half_width=0.5),
+    "gaussian": GaussianBump(amplitude=1.0, sigma=1.0),
+    "pt2_truncated": truncated(PoschlTeller(nu=2), 1e-12),
+}
+
+
+def _verify_models(p, seed, count=3):
+    h = 0.05
+    n = int(math.ceil(max(effective_support(p, 1e-6) + 1.0, 8.0) / h))
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        z = complex(rng.uniform(-1.0, 3.0), rng.uniform(0.5, 2.5))
+        yield lattice_model_from_potential(p, n, h, z)
+
+
+def _exact_sv_ratio(model):
+    """sv2/sv1 of the resolvent difference, from a full SVD.
+
+    Looks the decoupled resolvent up as the check does, so a patch reaches both.
+    """
+    size = 2 * model.n + 1
+    resolvent = np.linalg.inv(_hamiltonian(model) - model.z * np.eye(size))
+    svals = np.linalg.svd(resolvent - lattice.decoupled_resolvent(model), compute_uv=False)
+    return float(svals[1] / svals[0])
+
+
+@pytest.mark.parametrize("name", sorted(RANK_ONE_POTENTIALS))
+def test_sv_ratio_bounds_the_exact_ratio(name):
+    for model in _verify_models(RANK_ONE_POTENTIALS[name], seed=31):
+        report = resolvent_difference_check(model)
+        assert _exact_sv_ratio(model) <= report.sv_ratio <= 1e-10, model.z
+
+
+@pytest.mark.parametrize("name", sorted(RANK_ONE_POTENTIALS))
+def test_rank_two_difference_fails_the_bound(name, monkeypatch):
+    # one 1e-6 entry off the origin row and column makes D rank two
+    exact = decoupled_resolvent
+
+    def perturbed(model):
+        out = exact(model)
+        out[model.n + 3, model.n - 5] += 1e-6
+        return out
+
+    monkeypatch.setattr(lattice, "decoupled_resolvent", perturbed)
+    for model in _verify_models(RANK_ONE_POTENTIALS[name], seed=32):
+        report = resolvent_difference_check(model)
+        assert 1e-10 < _exact_sv_ratio(model) <= report.sv_ratio, model.z
+
+
 def test_mesh_convergence_second_order():
     p = GaussianBump(amplitude=1.0, sigma=1.0)
+    g00 = _continuum_g00(p, -1.0)
     errs = []
     for h in (0.1, 0.05, 0.025):
         n = int(round(12.0 / h))
         model = lattice_model_from_potential(p, n, h, -1.0)
-        report = resolvent_difference_check(model, potential=p)
+        report = resolvent_difference_check(model, g00)
         errs.append(report.continuum_resid)
     orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
     assert min(orders) >= 1.8, orders
