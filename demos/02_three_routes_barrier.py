@@ -1,9 +1,9 @@
 """Three independent routes to the same barrier reflection probability.
 
 Route 1 assembles the 2x2 scattering matrix from the two half-line
-m-functions; its |s_ll|^2 is the reflection probability.  Route 2 composes
-plane-wave transfer matrices across the barrier.  Route 3 is the textbook
-closed form.  They agree to more than ten digits across the sweep, including
+m-functions; its |s_ll|^2 is the reflection probability.  Route 2 carries
+(u, u') across the barrier slab by slab with closed-form propagators and
+matches plane waves at the two ends.  Route 3 is the textbook closed form.  They agree to more than ten digits across the sweep, including
 the tunneling regime below the barrier top.
 """
 import numpy as np

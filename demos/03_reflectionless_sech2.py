@@ -9,11 +9,12 @@ import numpy as np
 
 from weylscatter import (
     PoschlTeller,
-    analyze,
     reflectionless_scan,
+    spectral_reflection,
     transfer_reflection_grid,
     truncated,
 )
+from weylscatter.scattering import boundary_pairs
 
 
 def main():
@@ -24,8 +25,8 @@ def main():
         oracle = transfer_reflection_grid(p, np.sqrt(grid), 0.004)
         worst_spec = 0.0
         worst_tm = 0.0
-        for lam, res in zip(grid, oracle):
-            _, rec = analyze(p, float(lam))
+        for lam, (m_l, m_r), res in zip(grid, boundary_pairs(p, grid), oracle):
+            rec = spectral_reflection(float(lam), m_l, m_r)
             worst_spec = max(worst_spec, rec.reflect_prob)
             worst_tm = max(worst_tm, res.reflect_prob)
         print(f"  max spectral reflect_prob over {len(grid)} energies: {worst_spec:.3e}")

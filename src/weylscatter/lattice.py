@@ -27,6 +27,8 @@ from .potential import Potential, effective_support
 
 _COND_LIMIT = 1e12
 
+_SPECTRUM: dict[tuple, np.ndarray] = {}  # one entry, see _spectrum
+
 WEIGHT_CONVENTION = "delta_0 = e_0 / sqrt(h); G00(z) = [(H - z)^-1]_{00} / h"
 
 
@@ -96,6 +98,21 @@ def _hamiltonian(model: LatticeModel) -> np.ndarray:
     return ham
 
 
+def _spectrum(model: LatticeModel, ham: np.ndarray) -> np.ndarray:
+    """eigvalsh(H), kept for the last (n, h, v) only.
+
+    verify's six lattice checks share H and differ in z alone, so they pay
+    for one eigendecomposition between them.
+    """
+    key = (model.n, model.h, model.v.tobytes())
+    if key not in _SPECTRUM:
+        _SPECTRUM.clear()
+        eigs = np.linalg.eigvalsh(ham)
+        eigs.flags.writeable = False
+        _SPECTRUM[key] = eigs
+    return _SPECTRUM[key]
+
+
 def decoupled_resolvent(model: LatticeModel) -> np.ndarray:
     """(H_inf - z)^-1 embedded in the full grid: block inverses, zero origin row/column."""
     ham = _hamiltonian(model)
@@ -124,7 +141,7 @@ def resolvent_difference_check(
     mid = model.n
     a_full = ham.astype(complex) - model.z * np.eye(size)
     # H is real symmetric, so H - z is normal and its singular values are |lambda_i - z|
-    dist = np.abs(np.linalg.eigvalsh(ham) - model.z)
+    dist = np.abs(_spectrum(model, ham) - model.z)
     condition = float(dist.max() / dist.min()) if dist.min() > 0.0 else math.inf
     if not math.isfinite(condition) or condition > _COND_LIMIT:
         raise SingularResolvent(f"resolvent solve condition number {condition:.3e}")

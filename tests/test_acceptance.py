@@ -139,8 +139,7 @@ def test_criterion_5_reflectionless_family():
     worst_transfer = 0.0
     for nu in (1, 2):
         p = PoschlTeller(nu=nu)
-        for lam in grid:
-            m_l, m_r = boundary_pair(p, float(lam))
+        for lam, (m_l, m_r) in zip(grid, boundary_pairs(p, grid)):
             rec = spectral_reflection(float(lam), m_l, m_r)
             worst_spectral = max(worst_spectral, rec.reflect_prob)
         for res in transfer_reflection_grid(p, np.sqrt(grid), 0.004):

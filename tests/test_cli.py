@@ -170,6 +170,41 @@ def test_verify_deterministic_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("slab_width", [0.0025, 0.00125])
+def test_verify_gaussian_fine_slab_passes_oracle(slab_width, tmp_path):
+    # the default grid holds lambda = 1, the top of the bump: a slab midpoint
+    # where q = 0 must not cost the oracle its accuracy
+    cfg = write_config(
+        tmp_path,
+        "g.json",
+        {"potential": {"kind": "gaussian", "amplitude": 1.0, "sigma": 1.0}, "slab_width": slab_width},
+    )
+    out = tmp_path / "verify.csv"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    _, rows = parse_csv(out)
+    row = {r["check"]: r for r in rows}["spectral_vs_oracle"]
+    assert float(row["tolerance"]) == 1e-6
+    assert row["status"] == "pass", row
+
+
+def test_verify_one_spectrum(tmp_path, monkeypatch):
+    # the six lattice checks share H and differ only in z
+    from weylscatter import lattice
+
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(lattice, "_SPECTRUM", {})
+    cfg = write_config(tmp_path, "b.json", {"potential": BARRIER, "lambda_grid": [1.0, 2.0]})
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v.csv")]) == 0
+    assert len(shapes) == 1
+
+
 def test_json_format_mirrors_csv(tmp_path):
     cfg = write_config(tmp_path, "zero.json", ZERO_SWEEP)
     csv_out = tmp_path / "r.csv"

@@ -14,9 +14,12 @@ trees:
 * *_wavepacket*: commit 7bad95d, the last tree whose split-step kernel ran
   one unsplit numpy FFT per transform.  `t_stop` must match exactly;
 * *_verify: commit b3d8728, the last tree that solved verify's energies in
-  three sweeps and read the `lattice_rank_one` residual off a full SVD.
-  Every row must match byte for byte except that one, which now reports an
-  upper bound on sv2/sv1: its residual may only grow, and must still pass.
+  three sweeps, read the `lattice_rank_one` residual off a full SVD and
+  composed the transfer oracle interface by interface in plane waves.
+  Every row must match byte for byte except two.  `lattice_rank_one` now
+  reports an upper bound on sv2/sv1: its residual may only grow, and must
+  still pass.  The `spectral_vs_oracle` residual may move by ORACLE_DRIFT,
+  every other field of that row staying byte-exact.
 
 Regenerate the references of some potentials or commands from a checkout of
 a commit with
@@ -57,6 +60,8 @@ VERIFY_POTENTIALS = ("barrier", "gaussian", "pt2_truncated")
 SPECS = {**POTENTIALS, "pt2_truncated": {"kind": "poschl_teller", "nu": 2, "truncate_tol": 1e-12}}
 EXACT_FIELDS = {"side", "in_S_l", "in_S_r", "t_stop"}
 NO_ERR_TOL = 1e-12
+# |spectral_vs_oracle residual - reference| in the verify pins
+ORACLE_DRIFT = 1e-14
 
 
 def _artifact(cli, work: Path, name: str, command: str, packet: str = "") -> str:
@@ -114,10 +119,17 @@ def test_verify_matches_reference(name, tmp_path):
     current = _artifact(cli, tmp_path, name, "verify").splitlines()
     assert len(current) == len(reference)
     for ref, cur in zip(reference, current):
-        if not ref.startswith("lattice_rank_one,"):
+        if not ref.startswith(("lattice_rank_one,", "spectral_vs_oracle,")):
             assert cur == ref
             continue
         ref_row, cur_row = (_rows(f"{reference[0]}\n{line}\n")[0] for line in (ref, cur))
+        if ref_row["check"] == "spectral_vs_oracle":
+            # the (u, u') slab product rounds differently from the reference's
+            # plane-wave interface loop; the measured drift is at most 8.9e-16
+            for field in ("check", "detail", "tolerance", "status"):
+                assert cur_row[field] == ref_row[field], field
+            assert abs(float(cur_row["residual"]) - float(ref_row["residual"])) <= ORACLE_DRIFT
+            continue
         assert "bound" in cur_row["detail"]
         assert cur_row["tolerance"] == ref_row["tolerance"] == "1e-10"
         assert float(ref_row["residual"]) <= float(cur_row["residual"]) <= 1e-10, (ref_row, cur_row)

@@ -149,6 +149,25 @@ def test_mesh_convergence_second_order():
     assert min(orders) >= 1.8, orders
 
 
+def test_spectrum_shared_across_z(monkeypatch):
+    # one eigendecomposition serves every z on the same H, with the same
+    # condition numbers as a fresh one per z
+    p = GaussianBump(amplitude=1.0, sigma=1.0)
+    zs = [complex(-0.5, 1.0), complex(2.0, 0.6), -1.0]
+    models = [lattice_model_from_potential(p, 160, 0.05, z) for z in zs]
+    monkeypatch.setattr(lattice, "_SPECTRUM", {})
+    shared = [resolvent_difference_check(model).condition for model in models]
+    assert len(lattice._SPECTRUM) == 1
+    fresh = []
+    for model in models:
+        monkeypatch.setattr(lattice, "_SPECTRUM", {})
+        fresh.append(resolvent_difference_check(model).condition)
+    assert shared == fresh
+    other = lattice_model_from_potential(SquareBarrier(height=2.0, half_width=0.5), 160, 0.05, -1.0)
+    resolvent_difference_check(other)
+    assert list(lattice._SPECTRUM) == [(160, 0.05, other.v.tobytes())]
+
+
 def test_weight_convention_recorded():
     model = LatticeModel(n=50, h=0.1, v=np.zeros(101), z=-1.0)
     report = resolvent_difference_check(model)

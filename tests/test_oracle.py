@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from weylscatter import (
     SquareBarrier,
     Step,
     Zero,
+    boundary_pair,
     closed_form_barrier,
+    spectral_reflection,
     transfer_reflection,
     transfer_reflection_grid,
     truncated,
@@ -124,3 +127,45 @@ def test_grid_variant_matches_scalar():
         single = transfer_reflection(p, float(k), 0.01)
         assert res.r_amp == single.r_amp
         assert res.t_amp == single.t_amp
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 4.0])
+def test_turning_point_second_order(amplitude):
+    # lambda = max V puts q = 0 at the centre slab; the gap to the spectral R
+    # is the O(w^2) midpoint error alone, a factor 4 per halving
+    p = GaussianBump(amplitude=amplitude, sigma=1.0)
+    m_l, m_r = boundary_pair(p, amplitude)
+    spectral = spectral_reflection(amplitude, m_l, m_r).reflect_prob
+    widths = [0.01, 0.005, 0.0025, 0.00125]
+    gaps = [abs(transfer_reflection(p, math.sqrt(amplitude), w).reflect_prob - spectral) for w in widths]
+    ratios = [a / b for a, b in zip(gaps, gaps[1:])]
+    assert all(3.6 <= ratio <= 4.4 for ratio in ratios), (gaps, ratios)
+
+
+@pytest.mark.parametrize("energy", [2.0 - 1e-4, 2.0 + 1e-4, 2.0 - 1e-8])
+def test_barrier_near_top_closed_form(energy):
+    res = transfer_reflection(SquareBarrier(height=2.0, half_width=0.5), math.sqrt(energy), 0.005)
+    reflect, transmit = closed_form_barrier(energy, 2.0, 1.0)
+    assert res.reflect_prob == pytest.approx(reflect, abs=1e-12)
+    assert res.transmit_prob == pytest.approx(transmit, abs=1e-12)
+
+
+def test_barrier_at_top_is_the_limit():
+    # E = V0: u is linear across the barrier, T = 1 / (1 + V0 a^2 / 4) = 2/3
+    res = transfer_reflection(SquareBarrier(height=2.0, half_width=0.5), math.sqrt(2.0), 0.005)
+    assert res.reflect_prob == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert res.reflect_prob + res.transmit_prob == pytest.approx(1.0, abs=1e-12)
+
+
+def test_many_slabs_small_memory():
+    p = GaussianBump(amplitude=1.0, sigma=1.0)
+    ks = np.sqrt(np.linspace(0.5, 8.0, 16))
+    tracemalloc.start()
+    try:
+        res = transfer_reflection_grid(p, ks, 2e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 74 339 slabs: one momenta x slabs float array alone would take 9 MiB
+    assert res[0].slab_count == 74339
+    assert peak < 3 * 2**20
