@@ -10,10 +10,12 @@ import numpy as np
 
 from weylscatter import (
     SquareBarrier,
-    analyze,
     closed_form_barrier,
+    scattering_matrix,
+    spectral_reflection,
     transfer_reflection_grid,
 )
+from weylscatter.scattering import boundary_pairs
 
 HEIGHT = 2.0
 HALF_WIDTH = 0.5
@@ -26,8 +28,9 @@ def main():
 
     print(f"square barrier, height {HEIGHT}, total width {2*HALF_WIDTH}")
     print("lambda   |s_ll|^2 (m-functions)   |r|^2 (transfer)    closed form   spread")
-    for lam, res in zip(grid, oracle):
-        s, rec = analyze(p, float(lam))
+    for lam, res, (m_l, m_r) in zip(grid, oracle, boundary_pairs(p, grid)):
+        s = scattering_matrix(float(lam), m_l, m_r)
+        rec = spectral_reflection(float(lam), m_l, m_r)
         routes = [abs(s.s_ll) ** 2, res.reflect_prob]
         try:
             closed, _ = closed_form_barrier(float(lam), HEIGHT, 2 * HALF_WIDTH)

@@ -293,9 +293,10 @@ def _planned_packet(config: RunConfig) -> tuple[PacketSpec, int, str | None, Inc
 def _solve_together(config: RunConfig, *energy_sets) -> list[list[tuple[MValue, MValue]]]:
     """Boundary m-value pairs for each energy set, from one sweep over them all.
 
-    A lockstep sweep costs about as much as its slowest lane, so one sweep over
-    the concatenation is cheaper than one per set, and every lane comes out as
-    it would alone.  A failure reports the first failing energy in the order
+    A sweep pays numpy's per-call overhead once per attempt pass of its slowest
+    lane, and per-lane arithmetic only while a lane runs, so one sweep over the
+    concatenation is cheaper than one per set, and every lane comes out as it
+    would alone.  A failure reports the first failing energy in the order
     the sets are given.
     """
     grid = np.concatenate([np.asarray(energies, dtype=float) for energies in energy_sets])

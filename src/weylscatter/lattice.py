@@ -87,18 +87,28 @@ def lattice_model_from_potential(
     return LatticeModel(n=n, h=h, v=np.asarray(p.value(grid), dtype=float), z=z)
 
 
-def _hamiltonian(model: LatticeModel) -> np.ndarray:
-    size = 2 * model.n + 1
+def _hamiltonian(
+    model: LatticeModel, nodes: slice = slice(None), z: complex | None = None
+) -> np.ndarray:
+    """H on a run of nodes, Dirichlet outside them; H - z, complex, when z is given.
+
+    z is taken off the diagonal before the matrix is filled, so H - z costs
+    one matrix allocation and has the bits of H.astype(complex) - z * eye.
+    """
     inv_h2 = 1.0 / model.h**2
-    ham = np.zeros((size, size))
-    np.fill_diagonal(ham, 2.0 * inv_h2 + model.v)
+    diag = 2.0 * inv_h2 + model.v[nodes]
+    if z is not None:
+        diag = diag - z
+    size = len(diag)
+    ham = np.zeros((size, size), dtype=diag.dtype)
+    np.fill_diagonal(ham, diag)
     idx = np.arange(size - 1)
     ham[idx, idx + 1] = -inv_h2
     ham[idx + 1, idx] = -inv_h2
     return ham
 
 
-def _spectrum(model: LatticeModel, ham: np.ndarray) -> np.ndarray:
+def _spectrum(model: LatticeModel) -> np.ndarray:
     """eigvalsh(H), kept for the last (n, h, v) only.
 
     verify's six lattice checks share H and differ in z alone, so they pay
@@ -107,7 +117,7 @@ def _spectrum(model: LatticeModel, ham: np.ndarray) -> np.ndarray:
     key = (model.n, model.h, model.v.tobytes())
     if key not in _SPECTRUM:
         _SPECTRUM.clear()
-        eigs = np.linalg.eigvalsh(ham)
+        eigs = np.linalg.eigvalsh(_hamiltonian(model))
         eigs.flags.writeable = False
         _SPECTRUM[key] = eigs
     return _SPECTRUM[key]
@@ -115,15 +125,14 @@ def _spectrum(model: LatticeModel, ham: np.ndarray) -> np.ndarray:
 
 def decoupled_resolvent(model: LatticeModel) -> np.ndarray:
     """(H_inf - z)^-1 embedded in the full grid: block inverses, zero origin row/column."""
-    ham = _hamiltonian(model)
     size = 2 * model.n + 1
     mid = model.n
     out = np.zeros((size, size), dtype=complex)
-    eye = np.eye(mid)
-    a_left = ham[:mid, :mid] - model.z * eye
-    a_right = ham[mid + 1 :, mid + 1 :] - model.z * eye
-    out[:mid, :mid] = np.linalg.solve(a_left, eye.astype(complex))
-    out[mid + 1 :, mid + 1 :] = np.linalg.solve(a_right, eye.astype(complex))
+    eye = np.eye(mid, dtype=complex)
+    left = _hamiltonian(model, slice(None, mid), model.z)
+    right = _hamiltonian(model, slice(mid + 1, None), model.z)
+    out[:mid, :mid] = np.linalg.solve(left, eye)
+    out[mid + 1 :, mid + 1 :] = np.linalg.solve(right, eye)
     return out
 
 
@@ -136,16 +145,13 @@ def resolvent_difference_check(
     is supplied, the report also gives its gap to the discrete G00 (expected
     O(h^2)).
     """
-    ham = _hamiltonian(model)
-    size = 2 * model.n + 1
     mid = model.n
-    a_full = ham.astype(complex) - model.z * np.eye(size)
     # H is real symmetric, so H - z is normal and its singular values are |lambda_i - z|
-    dist = np.abs(_spectrum(model, ham) - model.z)
+    dist = np.abs(_spectrum(model) - model.z)
     condition = float(dist.max() / dist.min()) if dist.min() > 0.0 else math.inf
     if not math.isfinite(condition) or condition > _COND_LIMIT:
         raise SingularResolvent(f"resolvent solve condition number {condition:.3e}")
-    resolvent = np.linalg.inv(a_full)
+    resolvent = np.linalg.inv(_hamiltonian(model, z=model.z))
     # D is formed, and then reduced to its rank-one residual, in the buffer of
     # the decoupled resolvent: no further (2N+1)^2 temporaries
     diff = decoupled_resolvent(model)

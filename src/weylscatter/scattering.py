@@ -165,20 +165,6 @@ def boundary_pair(
     return boundary_pairs(p, [float(lam)], opts)[0]
 
 
-def analyze(
-    p: Potential,
-    lam: float,
-    opts: SolverOptions | None = None,
-    s_threshold: float = DEFAULT_SUPPORT_THRESHOLD,
-) -> tuple[ScatteringMatrix2, ReflectionRecord]:
-    """Scattering matrix and reflection record at one energy."""
-    m_l, m_r = boundary_pair(p, lam, opts)
-    return (
-        scattering_matrix(lam, m_l, m_r),
-        spectral_reflection(lam, m_l, m_r, s_threshold),
-    )
-
-
 def reflectionless_scan(
     p: Potential,
     grid,

@@ -21,8 +21,9 @@ SpectralSingularity, since near a pole of m (a band edge or a Dirichlet
 eigenvalue) the two solves disagree at leading order.
 
 All solves of one call run together: a lane is one (z, side, tolerance)
-solve, and a single Dormand-Prince kernel advances every lane in lockstep
-over numpy arrays.  `sweep` batches a whole energy grid this way.
+solve, and a single Dormand-Prince kernel advances every running lane in
+lockstep over numpy arrays; a lane leaves the arrays when it finishes or
+fails.  `sweep` batches a whole energy grid this way.
 """
 from __future__ import annotations
 
@@ -96,7 +97,23 @@ _NODES = np.array([_C2, _C3, _C4, _C5, 1.0])[:, None]
 def _slope(out, y, vz):
     """Right-hand side (u', (V - z) u) of the stacked pair y = (u, u'), written into out."""
     out[0] = y[1]
-    out[1] = vz * y[0]
+    np.multiply(vz, y[0], out=out[1])
+
+
+class _Lanes:
+    """Per-lane arrays of the lanes still running, one entry per lane on the last axis."""
+
+    def __init__(self, **arrays):
+        self.__dict__.update(arrays)
+
+    def keep(self, sel) -> None:
+        """Drop every lane that the boolean mask sel does not select.
+
+        compress keeps each array C-contiguous; indexing [..., sel] would put
+        the lane axis outermost in memory and slow every later pass.
+        """
+        for name, values in list(vars(self).items()):
+            setattr(self, name, values.compress(sel, axis=-1))
 
 
 def _integrate(p: Potential, z, right, rtol, atol, opts: SolverOptions):
@@ -106,9 +123,10 @@ def _integrate(p: Potential, z, right, rtol, atol, opts: SolverOptions):
     tolerances.  Every lane integrates (u, u') from outside the support to the
     origin with its own position, step size, segment, FSAL slope, counters
     and renormalization cadence, so its result does not depend on the other
-    lanes; only the arithmetic is shared, over numpy arrays.  Inactive lanes
-    take zero-length steps and masks keep their state.  Scaling the pair
-    (u, u') is harmless: only the ratio u'/u is used.
+    lanes; only the arithmetic is shared, over numpy arrays.  The arrays hold
+    the running lanes only: a lane that reaches the origin or fails is
+    gathered out, so every attempt pass advances every lane it holds.
+    Scaling the pair (u, u') is harmless: only the ratio u'/u is used.
 
     Returns the m-values (NaN where a lane failed) and, per lane, None or
     the typed error that stopped it.
@@ -132,69 +150,80 @@ def _integrate(p: Potential, z, right, rtol, atol, opts: SolverOptions):
         sorted((b for b in p.breakpoints() if 0.0 < b < x_edge), reverse=True) + [0.0],
     )
     width = max(map(len, plans))
+    plan = np.array([ends + [0.0] * (width - len(ends)) for ends in plans])  # segment ends per side
     side = right.astype(int)
-    plan = np.array([s + [0.0] * (width - len(s)) for s in plans])[side]
-    n_seg = np.array([len(s) for s in plans])[side]
-    lanes = np.arange(n)
-
-    cap = np.minimum(0.1, 0.5 / np.sqrt(np.maximum(np.abs(z - p.lower_bound), 1e-12)))
     x = sign * x_edge
-    h = np.minimum(cap, x_edge) * 0.25
-    y = np.stack([np.ones(n, dtype=complex), slope])
-    k = np.zeros((7, 2, n), dtype=complex)  # stage slopes; k[0] is the FSAL slot
-    # the start point is the end of segment -1, so the first pass enters segment 0
-    seg = np.full(n, -1)
-    target = x.copy()
-    tiny = np.ones(n)
-    direction = np.zeros(n)
-    span = np.zeros(n)
-    accepted = np.zeros(n, dtype=int)
-    attempts = np.zeros(n, dtype=int)
-    active = np.ones(n, dtype=bool)
+    cap = np.minimum(0.1, 0.5 / np.sqrt(np.maximum(np.abs(z - p.lower_bound), 1e-12)))
+    s = _Lanes(
+        lane=np.arange(n),
+        side=side,
+        n_seg=np.array([len(ends) for ends in plans])[side],
+        z=z,
+        sign=sign,
+        rtol=rtol,
+        atol=atol,
+        cap=cap,
+        x=x,
+        h=np.minimum(cap, x_edge) * 0.25,
+        y=np.stack([np.ones(n, dtype=complex), slope]),
+        k=np.zeros((7, 2, n), dtype=complex),  # stage slopes; k[0] is the FSAL slot
+        # the start point is the end of segment -1, so the first pass enters segment 0
+        seg=np.full(n, -1),
+        target=x.copy(),
+        tiny=np.ones(n),
+        direction=np.zeros(n),
+        floor=np.zeros(n),  # smallest step allowed in the current segment
+        accepted=np.zeros(n, dtype=int),
+    )
     m = np.full(n, complex(np.nan, np.nan))
+    attempts = 0  # attempt passes so far; every running lane took part in each
 
-    def fail(mask, error, message):
-        if mask.any():
-            for i in np.flatnonzero(mask):
-                side_name = ("left", "right")[side[i]]
-                failures[i] = error(f"{message} for side={side_name}, z={complex(z[i])}")
-            active[mask] = False
+    def fail(at, error, message):
+        """Record the typed error of the running lanes at positions at."""
+        for i in at:
+            side_name = ("left", "right")[s.side[i]]
+            failures[s.lane[i]] = error(f"{message} for side={side_name}, z={complex(s.z[i])}")
 
-    while True:
-        gap = np.abs(target - x)
-        done = active & (gap <= tiny)
+    while s.lane.size:
+        gap = np.abs(s.target - s.x)
+        done = gap <= s.tiny
         if done.any():
-            np.copyto(x, target, where=done)
-            seg += done
-            end = done & (seg == n_seg)
+            np.copyto(s.x, s.target, where=done)
+            s.seg += done
+            end = done & (s.seg == s.n_seg)
             if end.any():
-                u, du = y
-                node = end & (np.abs(u) <= 1e-13 * np.maximum(np.abs(u), np.abs(du)))
-                good = np.flatnonzero(end & ~node)
-                m[good] = sign[good] * (du[good] / u[good])
-                active[end] = False
-                fail(node, NodeAtOrigin, "u(0) underflowed")
-            enter = done & ~end
-            if enter.any():
-                np.copyto(target, plan[lanes, np.minimum(seg, width - 1)], where=enter)
-                np.copyto(direction, np.where(target > x, 1.0, -1.0), where=enter)
-                np.copyto(span, np.abs(target - x), where=enter)
-                edge = np.maximum(np.abs(target), np.abs(x))
-                np.copyto(tiny, 1e-14 * np.maximum(1.0, edge), where=enter)
-                vz = p.value(x) - z
-                np.copyto(k[0], np.stack([y[1], vz * y[0]]), where=enter)
+                at = np.flatnonzero(end)
+                u, du = s.y[:, at]
+                node = np.abs(u) <= 1e-13 * np.maximum(np.abs(u), np.abs(du))
+                good = ~node
+                m[s.lane[at[good]]] = s.sign[at[good]] * (du[good] / u[good])
+                fail(at[node], NodeAtOrigin, "u(0) underflowed")
+                s.keep(~end)
+                done = done[~end]
+            enter = np.flatnonzero(done)
+            if enter.size:
+                x_in = s.x[enter]
+                target = plan[s.side[enter], s.seg[enter]]
+                s.target[enter] = target
+                s.direction[enter] = np.where(target > x_in, 1.0, -1.0)
+                s.floor[enter] = 1e-14 * np.abs(target - x_in)
+                edge = np.maximum(np.abs(target), np.abs(x_in))
+                s.tiny[enter] = 1e-14 * np.maximum(1.0, edge)
+                vz = p.value(x_in) - s.z[enter]
+                s.k[0][:, enter] = np.stack([s.y[1, enter], vz * s.y[0, enter]])
             continue  # a segment entered may already be within tiny of its end
-        if not active.any():
-            break
 
-        np.copyto(h, np.minimum(np.minimum(h, cap), gap), where=active)
-        fail(
-            active & (h < 1e-14 * span),
-            OdeStepFailure,
-            "step size underflow while meeting tolerances",
-        )
-        hh = np.where(active, direction * h, 0.0)
-        vz = p.value(x + _NODES * hh) - z  # one potential call per attempt
+        np.minimum(np.minimum(s.h, s.cap), gap, out=s.h)
+        under = s.h < s.floor
+        if under.any():
+            message = "step size underflow while meeting tolerances"
+            fail(np.flatnonzero(under), OdeStepFailure, message)
+            s.keep(~under)
+            continue  # recomputing gap and h leaves the survivors' values as they are
+
+        hh = s.direction * s.h
+        vz = p.value(s.x + _NODES * hh) - s.z  # one potential call per attempt
+        k, y = s.k, s.y
         _slope(k[1], y + hh * (_A21 * k[0]), vz[0])
         _slope(k[2], y + hh * (_A31 * k[0] + _A32 * k[1]), vz[1])
         _slope(k[3], y + hh * (_A41 * k[0] + _A42 * k[1] + _A43 * k[2]), vz[2])
@@ -207,17 +236,19 @@ def _integrate(p: Potential, z, right, rtol, atol, opts: SolverOptions):
         y_new = y + hh * (_B1 * k[0] + _B3 * k[2] + _B4 * k[3] + _B5 * k[4] + _B6 * k[5])
         _slope(k[6], y_new, vz[4])
         e = hh * (_E1 * k[0] + _E3 * k[2] + _E4 * k[3] + _E5 * k[4] + _E6 * k[5] + _E7 * k[6])
-        r = np.abs(e) / (atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
+        r = np.abs(e) / (s.atol + s.rtol * np.maximum(np.abs(y), np.abs(y_new)))
         err = np.sqrt(0.5 * (r[0] ** 2 + r[1] ** 2))
 
-        attempts += active
-        fail(active & (attempts >= _MAX_STEPS), OdeStepFailure, "step budget exhausted")
-        ok = active & (err <= 1.0)
-        np.copyto(x, x + hh, where=ok)
+        attempts += 1
+        if attempts >= _MAX_STEPS:
+            fail(range(s.lane.size), OdeStepFailure, "step budget exhausted")
+            break
+        ok = err <= 1.0
+        np.add(s.x, hh, out=s.x, where=ok)
         np.copyto(y, y_new, where=ok)
         np.copyto(k[0], k[6], where=ok)  # FSAL
-        accepted += ok
-        renorm = ok & (accepted % _RENORM_INTERVAL == 0)
+        s.accepted += ok
+        renorm = ok & (s.accepted % _RENORM_INTERVAL == 0)
         if renorm.any():
             size = np.maximum(np.abs(y[0]), np.abs(y[1]))
             renorm &= size > 0.0
@@ -226,10 +257,10 @@ def _integrate(p: Potential, z, right, rtol, atol, opts: SolverOptions):
             np.copyto(k[0], k[0] * inv, where=renorm)
         # A NaN error estimate must shrink the step like any rejection, so NaN
         # maps to the 0.2 floor (fmax), and err == 0 to the 5x ceiling (inf).
-        grow = 0.9 * np.power(err, -0.2, out=np.full(n, np.inf), where=err != 0.0)
+        grow = 0.9 * np.power(err, -0.2, out=np.full(err.size, np.inf), where=err != 0.0)
         factor = np.fmax(0.2, grow)
-        factor = np.where(ok, np.minimum(5.0, factor), factor)
-        np.copyto(h, h * factor, where=active)
+        np.minimum(5.0, factor, out=factor, where=ok)
+        s.h *= factor
     return m, failures
 
 
@@ -335,8 +366,3 @@ def boundary_m(side: str, p: Potential, lam: float, opts: SolverOptions | None =
     lam = float(lam)
     m, err = _m_values(p, [lam], (side,), opts)
     return MValue(side=side, z=complex(lam, 0.0), m=complex(m[0, 0]), err_estimate=float(err[0, 0]))
-
-
-def ac_density(side: str, p: Potential, lam: float, opts: SolverOptions | None = None) -> float:
-    """Density of the absolutely continuous half-line spectral measure at lambda."""
-    return max(boundary_m(side, p, lam, opts).m.imag, 0.0)

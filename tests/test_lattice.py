@@ -66,6 +66,21 @@ def test_decoupling_exact_zero_blocks():
     assert np.all(r_inf[:, mid] == 0.0)
 
 
+@pytest.mark.parametrize("z", [2 + 1j, -0.5 + 1.5j, -1.0])
+def test_shifted_hamiltonian_bits(z):
+    # H - z and the decoupled blocks, built with z off the diagonal, hold the
+    # bits of the dense expressions they replace, so LAPACK sees the same input
+    b = SquareBarrier(height=2.0, half_width=0.5)
+    model = lattice_model_from_potential(b, 40, 0.05, z)
+    size, mid = 2 * model.n + 1, model.n
+    ham = _hamiltonian(model)
+    dense = ham.astype(complex) - model.z * np.eye(size)
+    assert _hamiltonian(model, z=model.z).tobytes() == dense.tobytes()
+    for nodes in (slice(None, mid), slice(mid + 1, None)):
+        block = ham[nodes, nodes] - model.z * np.eye(mid)
+        assert _hamiltonian(model, nodes, model.z).tobytes() == block.tobytes()
+
+
 def test_random_models_rank_one():
     rng = np.random.default_rng(2024)
     for _ in range(20):

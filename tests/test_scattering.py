@@ -9,7 +9,6 @@ from weylscatter import (
     SquareBarrier,
     Step,
     Zero,
-    analyze,
     boundary_pair,
     green00,
     interior_m,
@@ -105,7 +104,8 @@ def test_scattering_matrix_below_spectrum_identity():
 
 def test_scattering_matrix_barrier_matches_oracle():
     b = SquareBarrier(height=2.0, half_width=0.5)
-    s, rec = analyze(b, 1.0)
+    m_l, m_r = boundary_pair(b, 1.0)
+    s, rec = scattering_matrix(1.0, m_l, m_r), spectral_reflection(1.0, m_l, m_r)
     assert 0.0 < abs(s.s_ll) ** 2 < 1.0
     oracle = transfer_reflection_grid(b, [1.0], 0.01)[0]
     assert abs(s.s_ll) ** 2 == pytest.approx(oracle.reflect_prob, abs=1e-6)
@@ -163,7 +163,7 @@ def test_reflection_conjugation_symmetry():
 
 def test_step_above_both_tails_partial_reflection():
     p = Step(0.0, 1.0)
-    _, rec = analyze(p, 4.0)
+    rec = spectral_reflection(4.0, *boundary_pair(p, 4.0))
     # plane-wave step formula: |r| = (k - k')/(k + k') with k=2, k'=sqrt(3)
     expected = ((2.0 - np.sqrt(3.0)) / (2.0 + np.sqrt(3.0))) ** 2
     assert rec.reflect_prob == pytest.approx(expected, abs=1e-9)
@@ -172,7 +172,7 @@ def test_step_above_both_tails_partial_reflection():
 
 def test_step_between_tails_total_reflection():
     # 0 < lambda < 1: right channel evanescent, left wave fully reflected
-    _, rec = analyze(Step(0.0, 1.0), 0.5)
+    rec = spectral_reflection(0.5, *boundary_pair(Step(0.0, 1.0), 0.5))
     assert rec.in_S_l and not rec.in_S_r
     assert rec.reflect_prob == pytest.approx(1.0, abs=1e-9)
 
@@ -214,7 +214,8 @@ def test_scan_grid_validation():
 
 def test_gaussian_bump_records_consistent():
     p = GaussianBump(amplitude=1.0, sigma=1.0)
-    s, rec = analyze(p, 2.0)
+    m_l, m_r = boundary_pair(p, 2.0)
+    s, rec = scattering_matrix(2.0, m_l, m_r), spectral_reflection(2.0, m_l, m_r)
     assert 0 < rec.reflect_prob < 1
     assert abs(s.s_ll - rec.r_spectral) < 1e-10
     assert s.unitarity_residual() < 1e-8
@@ -233,6 +234,6 @@ def test_sampled_potential_routes_agree():
     ]
     for p, lams in cases:
         for lam in lams:
-            _, rec = analyze(p, lam)
+            rec = spectral_reflection(lam, *boundary_pair(p, lam))
             res = transfer_reflection_grid(p, [float(np.sqrt(lam))], 0.002)[0]
             assert rec.reflect_prob == pytest.approx(res.reflect_prob, abs=1e-6)

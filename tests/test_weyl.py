@@ -17,13 +17,12 @@ from weylscatter import (
     SquareBarrier,
     Step,
     Zero,
-    ac_density,
     boundary_m,
     interior_m,
     sweep,
     truncated,
 )
-from weylscatter.weyl import _m_halfline
+from weylscatter.weyl import _integrate, _m_halfline
 
 OPTS = SolverOptions()
 
@@ -168,10 +167,11 @@ def test_boundary_truncated_poschl_teller_fast_path():
 
 
 def test_ac_density_values():
-    assert ac_density("right", Zero(), 9.0, OPTS) == pytest.approx(3.0, abs=1e-12)
-    assert ac_density("right", Zero(), -1.0, OPTS) == 0.0
+    # the a.c. density of the half-line spectral measure is Im m(lambda + i0)
+    assert boundary_m("right", Zero(), 9.0, OPTS).m.imag == pytest.approx(3.0, abs=1e-12)
+    assert boundary_m("right", Zero(), -1.0, OPTS).m.imag == 0.0
     # nu=1 closed form gives Im m = (lambda+1)/sqrt(lambda) = 2 at lambda = 1
-    got = ac_density("left", PoschlTeller(nu=1), 1.0, OPTS)
+    got = boundary_m("left", PoschlTeller(nu=1), 1.0, OPTS).m.imag
     assert got > 0
     assert got == pytest.approx(2.0, abs=1e-8)
 
@@ -263,9 +263,12 @@ def test_node_at_origin_at_dirichlet_eigenvalue():
 
 
 class _PoisonedPotential(Zero):
+    # smooth on the left; a NaN strip on the right stops every right-side
+    # lane partway in, with a step-size underflow
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.where((x > 0.4) & (x < 0.6), np.nan, 0.0)
+        out = np.where(x < 0.0, np.sin(np.pi * x) ** 2, 0.0)
+        out = np.where((x > 0.4) & (x < 0.6), np.nan, out)
         return out if out.ndim else float(out)
 
     @property
@@ -279,6 +282,45 @@ class _PoisonedPotential(Zero):
 def test_ode_step_failure_on_unintegrable_values():
     with pytest.raises(OdeStepFailure):
         boundary_m("right", _PoisonedPotential(), 2.0, OPTS)
+
+
+def test_failed_lanes_leave_survivors_exact():
+    # right-side lanes fail partway in while left-side lanes at very different
+    # energies and tolerances run on: each survivor equals its one-lane solve
+    # bit for bit, and each failure stays at its own input index
+    p = _PoisonedPotential()
+    z = np.array([0.3, 40.0, 8.8, 0.3, 2.0 + 1.0j, 40.0, 1e-3, 8.8], dtype=complex)
+    right = np.array([True, False, True, False, False, True, False, False])
+    scale = np.array([1.0, 0.5, 1.0, 1.0, 0.5, 0.5, 1.0, 0.5])
+    rtol, atol = OPTS.rel_ode_tol * scale, OPTS.abs_ode_tol * scale
+    m, failures = _integrate(p, z, right, rtol, atol, OPTS)
+    for i in range(z.size):
+        if right[i]:
+            assert isinstance(failures[i], OdeStepFailure)
+            assert f"side=right, z={complex(z[i])}" in str(failures[i])
+            assert np.isnan(m[i])
+        else:
+            assert failures[i] is None
+            assert m[i] == _m_halfline("left", p, z[i], OPTS, rtol[i], atol[i])
+
+
+class _CountingBump(GaussianBump):
+    points = 0  # V evaluations, summed over points, since the last reset
+
+    def value(self, x):
+        _CountingBump.points += np.size(x)
+        return super().value(x)
+
+
+def test_sweep_does_no_work_for_finished_lanes():
+    # a lane leaves the batch when it finishes: the low-energy lanes must not
+    # ride along with the high-energy ones
+    def points(grid):
+        _CountingBump.points = 0
+        sweep(_CountingBump(amplitude=1.0, sigma=1.0), grid, OPTS)
+        return _CountingBump.points
+
+    assert points([0.3, 8.8]) == points([0.3]) + points([8.8])
 
 
 def test_solver_options_validation():
