@@ -67,13 +67,19 @@ def _parse_grid(raw) -> np.ndarray:
             lo, hi, count = float(raw["min"]), float(raw["max"]), int(raw["count"])
         except KeyError as exc:
             raise ConfigParseError(f"lambda_grid object needs field {exc}") from None
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ConfigParseError(f"lambda_grid min and max must be finite, got {lo!r} and {hi!r}")
         if not (lo < hi) or count < 1:
             raise ConfigParseError("lambda_grid needs min < max and count >= 1")
         return np.linspace(lo, hi, count)
     if isinstance(raw, list):
         if not raw:
             raise ConfigParseError("lambda_grid list must be nonempty")
-        return np.asarray([float(v) for v in raw])
+        grid = np.asarray([float(v) for v in raw])
+        bad = grid[~np.isfinite(grid)]
+        if bad.size:
+            raise ConfigParseError(f"lambda_grid energies must be finite, got {float(bad[0])!r}")
+        return grid
     raise ConfigParseError("lambda_grid must be a {min,max,count} object or a list")
 
 
@@ -293,11 +299,11 @@ def _planned_packet(config: RunConfig) -> tuple[PacketSpec, int, str | None, Inc
 def _solve_together(config: RunConfig, *energy_sets) -> list[list[tuple[MValue, MValue]]]:
     """Boundary m-value pairs for each energy set, from one sweep over them all.
 
-    A sweep pays numpy's per-call overhead once per attempt pass of its slowest
-    lane, and per-lane arithmetic only while a lane runs, so one sweep over the
-    concatenation is cheaper than one per set, and every lane comes out as it
-    would alone.  A failure reports the first failing energy in the order
-    the sets are given.
+    A sweep makes as many attempt passes as its slowest lane needs, each pass
+    a fixed set of numpy calls whatever the lane count, and pays per-lane
+    arithmetic only while a lane runs, so one sweep over the concatenation is
+    cheaper than one per set, and every lane comes out as it would alone.  A
+    failure reports the first failing energy in the order the sets are given.
     """
     grid = np.concatenate([np.asarray(energies, dtype=float) for energies in energy_sets])
     pairs = iter(boundary_pairs(config.potential, grid, config.solver))

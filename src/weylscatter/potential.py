@@ -413,6 +413,8 @@ def truncated(p: Potential, tol: float) -> Potential:
 
     Potentials that already have exact compact support are returned unchanged.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"truncate_tol must be positive and finite, got {tol!r}")
     if p.exact_support:
         return p
     return Truncated(inner=p, radius=effective_support(p, tol))
@@ -480,12 +482,12 @@ def potential_from_config(cfg: dict, base_dir: str | Path = ".") -> Potential:
         raise ConfigParseError(f"unknown potential kind {kind!r} (known: {known})")
     try:
         p = builder(cfg, Path(base_dir))
+        if "truncate_tol" in cfg:
+            p = truncated(p, float(cfg["truncate_tol"]))
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigParseError):
             raise
         raise ConfigParseError(f"bad field for potential kind {kind!r}: {exc}") from exc
-    if "truncate_tol" in cfg:
-        p = truncated(p, float(cfg["truncate_tol"]))
     validate(p)
     return p
 

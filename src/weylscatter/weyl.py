@@ -23,10 +23,14 @@ eigenvalue) the two solves disagree at leading order.
 All solves of one call run together: a lane is one (z, side, tolerance)
 solve, and a single Dormand-Prince kernel advances every running lane in
 lockstep over numpy arrays; a lane leaves the arrays when it finishes or
-fails.  `sweep` batches a whole energy grid this way.
+fails.  `sweep` batches a whole energy grid this way.  A batch takes as many
+attempt passes as its slowest lane needs, and each pass makes a fixed number
+of numpy calls whatever the lane count: the Butcher tableau is summed by
+column into reused work arrays, bit for bit the row-by-row sums.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +61,10 @@ class SolverOptions:
     abs_ode_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.truncation_tol <= 0 or self.rel_ode_tol <= 0 or self.abs_ode_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("truncation_tol", "rel_ode_tol", "abs_ode_tol"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -93,11 +99,25 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 # then x + h, which stages 6 and 7 share.
 _NODES = np.array([_C2, _C3, _C4, _C5, 1.0])[:, None]
 
-
-def _slope(out, y, vz):
-    """Right-hand side (u', (V - z) u) of the stacked pair y = (u, u'), written into out."""
-    out[0] = y[1]
-    np.multiply(vz, y[0], out=out[1])
+# The tableau by column.  An attempt keeps seven running sums: the inputs of
+# stages 2-6, then y_new, then the error estimate.  Column j holds the
+# coefficients of slope k_j in the sums from row j on that use it, so each
+# slope is added to all of its sums as soon as it is known, and every sum
+# still adds its terms in tableau order.  k_1 skips y_new and the error, whose
+# coefficients are zero: a product 0 * inf would turn a failing lane's value
+# into NaN.  The coefficients are complex so that no product casts.
+_COLUMNS = tuple(
+    np.array(column, dtype=complex)[:, None]
+    for column in (
+        [_A21, _A31, _A41, _A51, _A61, _B1, _E1],
+        [_A32, _A42, _A52, _A62],
+        [_A43, _A53, _A63, _B3, _E3],
+        [_A54, _A64, _B4, _E4],
+        [_A65, _B5, _E5],
+        [_B6, _E6],
+        [_E7],
+    )
+)
 
 
 class _Lanes:
@@ -116,6 +136,85 @@ class _Lanes:
             setattr(self, name, values.compress(sel, axis=-1))
 
 
+class _Scratch:
+    """Work arrays of the attempt passes of one batch, allocated once for its first width.
+
+    Every pass writes them through out=, so a pass allocates nothing but V's
+    values.  When lanes leave, fit() views the first arrays at the new lane
+    count, so the batch allocates no more.  Like the lane state, stages[j]
+    holds stage j + 2's input (u, u') in rows 0-1 and its slope
+    (u', (V - z) u) in rows 1-2; stages[5] is the state after an accepted step.
+    """
+
+    def __init__(self, width: int):
+        self._store: dict[str, np.ndarray] = {}
+        # Each tableau column repeated over (u, u') and the lanes, one row per
+        # coefficient: numpy multiplies two complex arrays faster than it
+        # multiplies by a broadcast factor, with the same bits.
+        self._columns = [np.repeat(column, 2 * width, axis=1) for column in _COLUMNS]
+        self.n = -1
+
+    def _array(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        """A contiguous array of this shape, a view of the first one allocated under name."""
+        size = math.prod(shape)
+        if name not in self._store:
+            self._store[name] = np.empty(size, dtype=dtype)
+        return self._store[name][:size].reshape(shape)
+
+    def fit(self, z) -> None:
+        """Lay the work arrays out for the running lanes, whose z are given."""
+        n = z.size
+        self.n = n
+        array = self._array
+        # the signed step, once per component of y, so that no product broadcasts
+        self.hc = array("hc", (2, n), complex)
+        self.hc.imag = 0.0
+        self.hh = self.hc[0].real
+        columns = [full[:, : 2 * n].reshape(-1, 2, n) for full in self._columns]
+        self.k0_column = columns[0]
+        self.xs = array("xs", (5, n))
+        # V is real, so (V + 0j) - z has imaginary part 0 - Im z on every pass
+        self.vz = array("vz", (5, n), complex)
+        np.subtract(0.0, z.imag, out=self.vz.imag)
+        self.acc = array("acc", (7, 2, n), complex)  # the running sums, see _COLUMNS
+        self.terms = array("terms", (7, 2, n), complex)
+        # one array per stage, so that none here passes glibc's 128 KiB mmap
+        # threshold below about 580 lanes
+        self.stages = [array(f"stage{j}", (3, n), complex) for j in range(6)]
+        self.y_new = self.stages[5][:2]
+        # per stage j + 2 (y_new for j = 5): its sum, input, u, slope row to
+        # fill, slope and V - z, then the next column and the sums it feeds
+        self.plan = []
+        for j, column in enumerate(columns[1:]):
+            rows = slice(j + 1, j + 1 + column.shape[0])
+            stage = self.stages[j]
+            self.plan.append(
+                (
+                    self.acc[j],
+                    stage[:2],
+                    stage[0],
+                    stage[2],
+                    stage[1:],
+                    self.vz[min(j, 4)],
+                    column,
+                    self.terms[rows],
+                    self.acc[rows],
+                )
+            )
+        self.r = array("r", (2, n))
+        self.scale = array("scale", (2, n))
+        self.scale_new = array("scale_new", (2, n))
+        self.gap = array("gap", (n,))
+        self.err = array("err", (n,))
+        self.grow = array("grow", (n,))
+        self.phase = array("phase", (n,), int)
+        self.done = array("done", (n,), bool)
+        self.under = array("under", (n,), bool)
+        self.ok = array("ok", (n,), bool)
+        self.renorm = array("renorm", (n,), bool)
+        self.nonzero = array("nonzero", (n,), bool)
+
+
 def _integrate(p: Potential, z, right, rtol, atol, opts: SolverOptions):
     """Log-derivatives at the origin for a batch of lanes, any complex z.
 
@@ -127,6 +226,13 @@ def _integrate(p: Potential, z, right, rtol, atol, opts: SolverOptions):
     the running lanes only: a lane that reaches the origin or fails is
     gathered out, so every attempt pass advances every lane it holds.
     Scaling the pair (u, u') is harmless: only the ratio u'/u is used.
+
+    A batch takes as many attempt passes as its slowest lane needs, and a
+    pass makes the same 70 numpy calls (plus V's) whatever the lane count, so
+    a batch costs about (passes of its slowest lane) x (cost of one pass).
+    The tableau is summed by column (_COLUMNS), a multiply and an add per
+    slope, each sum still adding its terms in tableau order, and every call
+    writes into work arrays (_Scratch) allocated once per batch.
 
     Returns the m-values (NaN where a lane failed) and, per lane, None or
     the typed error that stopped it.
@@ -165,8 +271,9 @@ def _integrate(p: Potential, z, right, rtol, atol, opts: SolverOptions):
         cap=cap,
         x=x,
         h=np.minimum(cap, x_edge) * 0.25,
-        y=np.stack([np.ones(n, dtype=complex), slope]),
-        k=np.zeros((7, 2, n), dtype=complex),  # stage slopes; k[0] is the FSAL slot
+        # (u, u', (V - z) u) at x: the pair y = (u, u') in rows 0-1 and its
+        # slope, the FSAL stage of the next step, in rows 1-2
+        yk=np.stack([np.ones(n, dtype=complex), slope, np.zeros(n, dtype=complex)]),
         # the start point is the end of segment -1, so the first pass enters segment 0
         seg=np.full(n, -1),
         target=x.copy(),
@@ -177,6 +284,7 @@ def _integrate(p: Potential, z, right, rtol, atol, opts: SolverOptions):
     )
     m = np.full(n, complex(np.nan, np.nan))
     attempts = 0  # attempt passes so far; every running lane took part in each
+    work = _Scratch(n)
 
     def fail(at, error, message):
         """Record the typed error of the running lanes at positions at."""
@@ -185,15 +293,17 @@ def _integrate(p: Potential, z, right, rtol, atol, opts: SolverOptions):
             failures[s.lane[i]] = error(f"{message} for side={side_name}, z={complex(s.z[i])}")
 
     while s.lane.size:
-        gap = np.abs(s.target - s.x)
-        done = gap <= s.tiny
+        if work.n != s.lane.size:  # keep() drops lanes, so a new count is a new lane set
+            work.fit(s.z)
+        gap = np.abs(np.subtract(s.target, s.x, out=work.gap), out=work.gap)
+        done = np.less_equal(gap, s.tiny, out=work.done)
         if done.any():
             np.copyto(s.x, s.target, where=done)
             s.seg += done
             end = done & (s.seg == s.n_seg)
             if end.any():
                 at = np.flatnonzero(end)
-                u, du = s.y[:, at]
+                u, du = s.yk[:2, at]
                 node = np.abs(u) <= 1e-13 * np.maximum(np.abs(u), np.abs(du))
                 good = ~node
                 m[s.lane[at[good]]] = s.sign[at[good]] * (du[good] / u[good])
@@ -210,57 +320,68 @@ def _integrate(p: Potential, z, right, rtol, atol, opts: SolverOptions):
                 edge = np.maximum(np.abs(target), np.abs(x_in))
                 s.tiny[enter] = 1e-14 * np.maximum(1.0, edge)
                 vz = p.value(x_in) - s.z[enter]
-                s.k[0][:, enter] = np.stack([s.y[1, enter], vz * s.y[0, enter]])
+                s.yk[2, enter] = vz * s.yk[0, enter]
             continue  # a segment entered may already be within tiny of its end
 
-        np.minimum(np.minimum(s.h, s.cap), gap, out=s.h)
-        under = s.h < s.floor
+        np.minimum(s.h, s.cap, out=s.h)
+        np.minimum(s.h, gap, out=s.h)
+        under = np.less(s.h, s.floor, out=work.under)
         if under.any():
             message = "step size underflow while meeting tolerances"
             fail(np.flatnonzero(under), OdeStepFailure, message)
             s.keep(~under)
             continue  # recomputing gap and h leaves the survivors' values as they are
 
-        hh = s.direction * s.h
-        vz = p.value(s.x + _NODES * hh) - s.z  # one potential call per attempt
-        k, y = s.k, s.y
-        _slope(k[1], y + hh * (_A21 * k[0]), vz[0])
-        _slope(k[2], y + hh * (_A31 * k[0] + _A32 * k[1]), vz[1])
-        _slope(k[3], y + hh * (_A41 * k[0] + _A42 * k[1] + _A43 * k[2]), vz[2])
-        _slope(k[4], y + hh * (_A51 * k[0] + _A52 * k[1] + _A53 * k[2] + _A54 * k[3]), vz[3])
-        _slope(
-            k[5],
-            y + hh * (_A61 * k[0] + _A62 * k[1] + _A63 * k[2] + _A64 * k[3] + _A65 * k[4]),
-            vz[4],
-        )
-        y_new = y + hh * (_B1 * k[0] + _B3 * k[2] + _B4 * k[3] + _B5 * k[4] + _B6 * k[5])
-        _slope(k[6], y_new, vz[4])
-        e = hh * (_E1 * k[0] + _E3 * k[2] + _E4 * k[3] + _E5 * k[4] + _E6 * k[5] + _E7 * k[6])
-        r = np.abs(e) / (s.atol + s.rtol * np.maximum(np.abs(y), np.abs(y_new)))
-        err = np.sqrt(0.5 * (r[0] ** 2 + r[1] ** 2))
+        hh, hc, y = work.hh, work.hc, s.yk[:2]
+        np.multiply(s.direction, s.h, out=hc.real)
+        xs = np.multiply(_NODES, hh, out=work.xs)
+        np.add(s.x, xs, out=xs)
+        np.subtract(p.value(xs), s.z.real, out=work.vz.real)  # one potential call per attempt
+        # each slope joins every sum that uses it; a completed sum, scaled by
+        # the step, is the next stage's input
+        np.multiply(work.k0_column, s.yk[1:], out=work.acc)
+        for total, stage, u, du, k, vz, column, terms, sums in work.plan:
+            np.multiply(hc, total, out=total)
+            np.add(y, total, out=stage)
+            np.multiply(vz, u, out=du)
+            np.multiply(column, k, out=terms)
+            np.add(sums, terms, out=sums)
+        r, scale, err = work.r, work.scale, work.err
+        np.abs(np.multiply(hc, work.acc[6], out=work.acc[6]), out=r)  # |error estimate|
+        np.maximum(np.abs(y, out=scale), np.abs(work.y_new, out=work.scale_new), out=scale)
+        np.multiply(s.rtol, scale, out=scale)
+        np.add(s.atol, scale, out=scale)
+        np.divide(r, scale, out=r)
+        np.square(r, out=r)
+        np.add(r[0], r[1], out=err)
+        np.multiply(0.5, err, out=err)
+        np.sqrt(err, out=err)
 
         attempts += 1
         if attempts >= _MAX_STEPS:
             fail(range(s.lane.size), OdeStepFailure, "step budget exhausted")
             break
-        ok = err <= 1.0
+        ok = np.less_equal(err, 1.0, out=work.ok)
         np.add(s.x, hh, out=s.x, where=ok)
-        np.copyto(y, y_new, where=ok)
-        np.copyto(k[0], k[6], where=ok)  # FSAL
+        np.copyto(s.yk, work.stages[5], where=ok)  # FSAL: the last slope is the next first
         s.accepted += ok
-        renorm = ok & (s.accepted % _RENORM_INTERVAL == 0)
+        phase = np.remainder(s.accepted, _RENORM_INTERVAL, out=work.phase)
+        renorm = np.equal(phase, 0, out=work.renorm)
+        renorm &= ok
         if renorm.any():
             size = np.maximum(np.abs(y[0]), np.abs(y[1]))
             renorm &= size > 0.0
             inv = 1.0 / np.where(renorm, size, 1.0)
-            np.copyto(y, y * inv, where=renorm)
-            np.copyto(k[0], k[0] * inv, where=renorm)
+            np.copyto(s.yk, s.yk * inv, where=renorm)
         # A NaN error estimate must shrink the step like any rejection, so NaN
         # maps to the 0.2 floor (fmax), and err == 0 to the 5x ceiling (inf).
-        grow = 0.9 * np.power(err, -0.2, out=np.full(err.size, np.inf), where=err != 0.0)
-        factor = np.fmax(0.2, grow)
-        np.minimum(5.0, factor, out=factor, where=ok)
-        s.h *= factor
+        grow = work.grow
+        grow.fill(np.inf)
+        np.power(err, -0.2, out=grow, where=np.not_equal(err, 0.0, out=work.nonzero))
+        np.multiply(0.9, grow, out=grow)
+        np.fmax(0.2, grow, out=grow)
+        np.minimum(5.0, grow, out=grow, where=ok)
+        s.h *= grow
     return m, failures
 
 
@@ -276,6 +397,10 @@ def _m_values(p: Potential, z, sides, opts: SolverOptions):
     SpectralSingularity.
     """
     z = np.asarray(z, dtype=complex)
+    if not np.isfinite(z).all():
+        # a NaN step size never trips the underflow check, so the kernel
+        # would spin until its step budget runs out
+        raise ValueError(f"energies must be finite, got {complex(z[~np.isfinite(z)][0])}")
     for side in sides:
         p.tail_value(side)  # rejects an unknown side
     shape = (2, len(sides), z.size)

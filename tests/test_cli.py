@@ -257,6 +257,54 @@ def test_bad_packet_field_exits_2(packet, field, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "grid", ["[NaN]", "[1e400]", "[1.0, -Infinity]", '{"min": 0.5, "max": Infinity, "count": 3}']
+)
+def test_non_finite_energy_exits_2(grid, tmp_path, capsys):
+    # JSON admits NaN and overflowing literals; a NaN energy used to spin the
+    # solver for minutes, and an infinite one to fail as a step underflow
+    cfg = tmp_path / "grid.json"
+    cfg.write_text('{"potential": {"kind": "poschl_teller", "nu": 2}, "lambda_grid": %s}' % grid)
+    assert main(["mfunction", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "lambda_grid" in err and "finite" in err, err
+
+
+@pytest.mark.parametrize(
+    "solver",
+    [
+        {"truncation_tol": math.inf},
+        {"truncation_tol": math.nan},
+        {"rel_ode_tol": math.inf},
+        {"rel_ode_tol": math.nan},
+        {"abs_ode_tol": math.inf},
+        {"abs_ode_tol": -1e-12},
+    ],
+    ids=lambda v: ",".join(f"{k}={x}" for k, x in v.items()),
+)
+def test_bad_solver_tolerance_exits_2(solver, tmp_path, capsys):
+    # an infinite truncation_tol used to return the free-line m with a tiny
+    # err, and a NaN one to end in a traceback
+    payload = {"potential": {"kind": "poschl_teller", "nu": 2}, "lambda_grid": [1.0], "solver": solver}
+    cfg = write_config(tmp_path, "solver.json", payload)
+    assert main(["mfunction", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and next(iter(solver)) in err, err
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+@pytest.mark.parametrize("kind", ["poschl_teller", "square_barrier"])
+def test_bad_truncate_tol_exits_2(kind, tol, tmp_path, capsys):
+    # a compactly supported potential ignores truncate_tol but must not accept
+    # a bad one; on the others a NaN or negative one used to end in a traceback
+    fields = {"nu": 2} if kind == "poschl_teller" else {"height": 2.0, "half_width": 0.5}
+    payload = {"potential": {"kind": kind, **fields, "truncate_tol": tol}, "lambda_grid": [1.0]}
+    cfg = write_config(tmp_path, "trunc.json", payload)
+    assert main(["mfunction", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "truncate_tol" in err, err
+
+
 def test_resonant_grid_point_exits_3(tmp_path, capsys):
     # lambda = 0 on the free line: m_l + m_r = 0 exactly, a Green-function pole
     cfg = write_config(

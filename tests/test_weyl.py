@@ -324,8 +324,24 @@ def test_sweep_does_no_work_for_finished_lanes():
 
 
 def test_solver_options_validation():
-    with pytest.raises(ValueError):
-        SolverOptions(rel_ode_tol=0.0)
+    # an infinite tolerance passes every step and a NaN one fails every step
+    for name in ("truncation_tol", "rel_ode_tol", "abs_ode_tol"):
+        for value in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                SolverOptions(**{name: value})
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_non_finite_energy_rejected_before_solving(lam):
+    # a NaN step size never trips the underflow check: without the guard the
+    # kernel spins until its step budget of two million passes runs out
+    p = PoschlTeller(nu=2)
+    with pytest.raises(ValueError, match="finite"):
+        sweep(p, [1.0, lam], OPTS)
+    with pytest.raises(ValueError, match="finite"):
+        boundary_m("left", p, lam, OPTS)
+    with pytest.raises(ValueError, match="finite"):
+        interior_m("right", p, complex(lam, 1.0), OPTS)
 
 
 def test_side_validation():
