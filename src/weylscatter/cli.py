@@ -38,6 +38,11 @@ from .scattering import (
 from .weyl import MValue, SolverOptions, sweep
 
 COMMANDS = ("mfunction", "scatter", "reflect", "wavepacket", "verify", "scan")
+CONFIG_FIELDS = (
+    "potential", "command", "lambda_grid", "solver", "s_threshold", "zero_tol",
+    "slab_width", "packet", "output", "seed",
+)
+OUTPUT_FIELDS = ("path", "format")
 
 
 @dataclass
@@ -53,6 +58,13 @@ class RunConfig:
     output_path: str | None = None
     output_format: str = "csv"
     seed: int = 0
+
+    def __post_init__(self):
+        # every comparison with NaN is False, and a negative threshold admits all
+        for name in ("s_threshold", "zero_tol"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ConfigParseError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def _default_grid() -> np.ndarray:
@@ -83,6 +95,12 @@ def _parse_grid(raw) -> np.ndarray:
     raise ConfigParseError("lambda_grid must be a {min,max,count} object or a list")
 
 
+def _reject_unknown(where: str, fields: dict, known: tuple[str, ...]) -> None:
+    unknown = sorted(set(fields) - set(known))
+    if unknown:
+        raise ConfigParseError(f"unknown {where} fields: {', '.join(unknown)}")
+
+
 def load_config(
     path: str | Path,
     command: str | None = None,
@@ -104,6 +122,7 @@ def load_config(
         ) from exc
     if not isinstance(raw, dict):
         raise ConfigParseError(f"{path}: top-level config must be a JSON object")
+    _reject_unknown("config", raw, CONFIG_FIELDS)
     if "potential" not in raw:
         raise ConfigParseError(f"{path}: missing required field 'potential'")
     potential = potential_from_config(raw["potential"], base_dir=path.parent)
@@ -117,6 +136,7 @@ def load_config(
     output = raw.get("output", {})
     if not isinstance(output, dict):
         raise ConfigParseError("'output' must be an object with path/format fields")
+    _reject_unknown("output", output, OUTPUT_FIELDS)
     out_format = fmt or output.get("format", "csv")
     if out_format not in ("csv", "json"):
         raise ConfigParseError(f"output format must be csv or json, got {out_format!r}")

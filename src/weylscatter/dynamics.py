@@ -67,13 +67,13 @@ class PacketSpec:
         if n < 2 or (n & (n - 1)) != 0:
             raise InvalidPacket(f"n_points must be a power of two, got {n}")
 
-    def validate_against(self, p: Potential, truncation_tol: float = 1e-12) -> None:
+    def validate_against(self, p: Potential) -> None:
         """Narrow-band and placement invariants relative to the potential."""
         if p.tail_value("left") != 0.0 or p.tail_value("right") != 0.0:
             # nonzero tails would wrap into a spurious interface at the
             # periodic boundary of the spectral grid
             raise InvalidPacket("wave-packet evolution requires zero potential tails")
-        support = effective_support(p, truncation_tol)
+        support = effective_support(p, 1e-12)
         if not self.x0 + 4.0 * self.sigma_x < -support:
             raise InvalidPacket("packet must start in the zero-tail region left of the support")
         if self.x0 - 4.0 * self.sigma_x <= -self.half_length:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
@@ -369,16 +369,6 @@ class Truncated(Potential):
         return problems
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of validate(): certificates, never raw failures."""
-
-    lower_bound: float
-    tail_class: str  # "constant" or "decaying"
-    limit_point: bool
-    notes: tuple[str, ...] = field(default_factory=tuple)
-
-
 def effective_support(p: Potential, tol: float) -> float:
     """Smallest X such that |V(x) - tail| <= tol for all |x| >= X.
 
@@ -393,19 +383,11 @@ def effective_support(p: Potential, tol: float) -> float:
     return radius
 
 
-def validate(p: Potential) -> ValidationReport:
+def validate(p: Potential) -> None:
     """Check the variant's invariants; raise InvalidPotential on the first violation."""
     problems = p._validate()
     if problems:
         raise InvalidPotential(problems[0])
-    tail_class = "constant" if p.exact_support else "decaying"
-    notes = ("constant tails imply the limit point case at both infinities",)
-    return ValidationReport(
-        lower_bound=p.lower_bound,
-        tail_class=tail_class,
-        limit_point=True,
-        notes=notes,
-    )
 
 
 def truncated(p: Potential, tol: float) -> Potential:

@@ -187,22 +187,27 @@ def test_verify_gaussian_fine_slab_passes_oracle(slab_width, tmp_path):
     assert row["status"] == "pass", row
 
 
-def test_verify_one_spectrum(tmp_path, monkeypatch):
-    # the six lattice checks share H and differ only in z
-    from weylscatter import lattice
+def test_verify_makes_no_eigendecomposition(tmp_path, monkeypatch):
+    # the lattice check guards its solve with a closed-form condition bound;
+    # the cell-average quadrature rule takes its nodes from an 8 x 8
+    # eigenproblem once per process, so it is built before the count starts
+    from weylscatter.potential import _gauss_legendre
 
-    shapes = []
-    eigvalsh = np.linalg.eigvalsh
+    _gauss_legendre()
+    calls = []
 
-    def counted(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return eigvalsh(a, *args, **kwargs)
+    def refused(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"verify called np.linalg.{name}")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    monkeypatch.setattr(lattice, "_SPECTRUM", {})
+        return call
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refused(name))
     cfg = write_config(tmp_path, "b.json", {"potential": BARRIER, "lambda_grid": [1.0, 2.0]})
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v.csv")]) == 0
-    assert len(shapes) == 1
+    assert calls == []
 
 
 def test_json_format_mirrors_csv(tmp_path):
@@ -303,6 +308,35 @@ def test_bad_truncate_tol_exits_2(kind, tol, tmp_path, capsys):
     assert main(["mfunction", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "truncate_tol" in err, err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("field, command", [("s_threshold", "reflect"), ("zero_tol", "scan")])
+def test_bad_threshold_exits_2(field, command, value, tmp_path, capsys):
+    # a NaN s_threshold used to put every energy off S_l (reflect_prob 1 on
+    # the barrier, exit 0), and a NaN zero_tol to find no reflectionless window
+    payload = {"potential": BARRIER, "lambda_grid": [1.0, 2.0], field: value}
+    cfg = write_config(tmp_path, "threshold.json", payload)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "fields, typo",
+    [({"lamda_grid": [1.0]}, "lamda_grid"), ({"output": {"fromat": "json"}}, "fromat")],
+    ids=["top-level", "output"],
+)
+def test_unknown_config_field_exits_2(fields, typo, tmp_path, capsys):
+    # a misspelt lambda_grid used to run the default grid and exit 0
+    cfg = write_config(tmp_path, "typo.json", {"potential": BARRIER, **fields})
+    out = tmp_path / "out.csv"
+    assert main(["reflect", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "unknown" in err and typo in err, err
+    assert not out.exists()
 
 
 def test_resonant_grid_point_exits_3(tmp_path, capsys):

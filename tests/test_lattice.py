@@ -46,7 +46,7 @@ def test_barrier_at_complex_energy():
     assert report.sv_ratio <= 1e-10
     assert report.coeff_resid <= 1e-8
     a_full = _hamiltonian(model) - model.z * np.eye(2 * model.n + 1)
-    assert report.condition == pytest.approx(np.linalg.cond(a_full), rel=1e-10)
+    assert np.linalg.cond(a_full) <= report.condition <= 4.0 * np.linalg.cond(a_full)
 
 
 def test_rank_one_entry_restatement():
@@ -81,9 +81,9 @@ def test_shifted_hamiltonian_bits(z):
         assert _hamiltonian(model, nodes, model.z).tobytes() == block.tobytes()
 
 
-def test_random_models_rank_one():
-    rng = np.random.default_rng(2024)
-    for _ in range(20):
+def _random_models(seed, count=20):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
         n = int(rng.integers(60, 140))
         h = float(rng.uniform(0.04, 0.12))
         xs = h * np.arange(-n, n + 1)
@@ -95,7 +95,12 @@ def test_random_models_rank_one():
             sig = rng.uniform(0.4, 1.2)
             v += amp * np.exp(-((xs - cen) ** 2) / (2 * sig**2))
         z = complex(rng.uniform(-1.0, 3.0), rng.uniform(0.5, 2.5))
-        report = resolvent_difference_check(LatticeModel(n=n, h=h, v=v, z=z))
+        yield LatticeModel(n=n, h=h, v=v, z=z)
+
+
+def test_random_models_rank_one():
+    for model in _random_models(2024):
+        report = resolvent_difference_check(model)
         assert report.sv_ratio <= 1e-10
         assert report.coeff_resid <= 1e-8
 
@@ -108,13 +113,15 @@ RANK_ONE_POTENTIALS = {
 }
 
 
-def _verify_models(p, seed, count=3):
+def _verify_models(p, seed, count=3, z_cont=False):
     h = 0.05
     n = int(math.ceil(max(effective_support(p, 1e-6) + 1.0, 8.0) / h))
     rng = np.random.default_rng(seed)
     for _ in range(count):
         z = complex(rng.uniform(-1.0, 3.0), rng.uniform(0.5, 2.5))
         yield lattice_model_from_potential(p, n, h, z)
+    if z_cont:
+        yield lattice_model_from_potential(p, n, h, min(-1.0, p.lower_bound - 1.0))
 
 
 def _exact_sv_ratio(model):
@@ -164,23 +171,22 @@ def test_mesh_convergence_second_order():
     assert min(orders) >= 1.8, orders
 
 
-def test_spectrum_shared_across_z(monkeypatch):
-    # one eigendecomposition serves every z on the same H, with the same
-    # condition numbers as a fresh one per z
-    p = GaussianBump(amplitude=1.0, sigma=1.0)
-    zs = [complex(-0.5, 1.0), complex(2.0, 0.6), -1.0]
-    models = [lattice_model_from_potential(p, 160, 0.05, z) for z in zs]
-    monkeypatch.setattr(lattice, "_SPECTRUM", {})
-    shared = [resolvent_difference_check(model).condition for model in models]
-    assert len(lattice._SPECTRUM) == 1
-    fresh = []
+def _exact_condition(model):
+    """max/min |lambda_i - z| over the eigenvalues of H: cond_2(H - z) of a normal matrix."""
+    dist = np.abs(np.linalg.eigvalsh(_hamiltonian(model)) - model.z)
+    return float(dist.max() / dist.min())
+
+
+@pytest.mark.parametrize("name", sorted(RANK_ONE_POTENTIALS) + ["random"])
+def test_condition_bound_brackets_the_exact_condition(name):
+    # verify's models, its real z_cont included, and random samples
+    if name == "random":
+        models = _random_models(7)
+    else:
+        models = _verify_models(RANK_ONE_POTENTIALS[name], seed=33, count=20, z_cont=True)
     for model in models:
-        monkeypatch.setattr(lattice, "_SPECTRUM", {})
-        fresh.append(resolvent_difference_check(model).condition)
-    assert shared == fresh
-    other = lattice_model_from_potential(SquareBarrier(height=2.0, half_width=0.5), 160, 0.05, -1.0)
-    resolvent_difference_check(other)
-    assert list(lattice._SPECTRUM) == [(160, 0.05, other.v.tobytes())]
+        exact = _exact_condition(model)
+        assert exact <= resolvent_difference_check(model).condition <= 4.0 * exact, model.z
 
 
 def test_weight_convention_recorded():
@@ -190,13 +196,15 @@ def test_weight_convention_recorded():
 
 
 def test_singular_resolvent_at_eigenvalue():
-    # z pinned to a discrete eigenvalue of the well: the solve is hopeless
+    # z at a discrete eigenvalue of the well: a real one lies above min(v)
+    # and is refused as a model, and one a hair above the axis is hopeless
     well = SquareBarrier(height=-5.0, half_width=1.0)
-    model = lattice_model_from_potential(well, 150, 0.05, -1.0)
-    ham = _hamiltonian(model)
-    eig = np.linalg.eigvalsh(ham)
+    model = lattice_model_from_potential(well, 150, 0.05, -6.0)
+    eig = np.linalg.eigvalsh(_hamiltonian(model))
     z_bad = float(eig[eig < -0.5][0])
-    bad = LatticeModel(n=150, h=0.05, v=model.v, z=z_bad)
+    with pytest.raises(ValueError):
+        LatticeModel(n=150, h=0.05, v=model.v, z=z_bad)
+    bad = LatticeModel(n=150, h=0.05, v=model.v, z=complex(z_bad, 1e-14))
     with pytest.raises(SingularResolvent):
         resolvent_difference_check(bad)
 
@@ -208,5 +216,7 @@ def test_model_validation():
         LatticeModel(n=2, h=0.1, v=[0.0] * 4, z=-1.0)
     with pytest.raises(ValueError):
         LatticeModel(n=2, h=0.1, v=[0.0] * 5, z=1.0)  # real z inside the spectrum
+    with pytest.raises(ValueError):
+        LatticeModel(n=2, h=0.1, v=[-1.0] * 5, z=-0.5)  # real z not below min(v)
     with pytest.raises(ValueError):
         lattice_model_from_potential(SquareBarrier(height=2.0, half_width=0.5), 10, 0.05, -1.0)

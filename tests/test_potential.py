@@ -113,20 +113,21 @@ def test_effective_support_rejects_nonpositive_tol():
 
 
 def test_validate_zero():
-    report = validate(Zero())
-    assert report.lower_bound == 0.0
-    assert report.tail_class == "constant"
-    assert report.limit_point
+    p = Zero()
+    validate(p)
+    assert p.lower_bound == 0.0
+    assert p.exact_support
 
 
 def test_validate_poschl_teller_nu2():
-    report = validate(PoschlTeller(nu=2))
-    assert report.lower_bound == -6.0
+    p = PoschlTeller(nu=2)
+    validate(p)
+    assert p.lower_bound == -6.0
 
 
 def test_validate_decaying_tail_class():
-    assert validate(PoschlTeller(nu=1)).tail_class == "decaying"
-    assert validate(truncated(PoschlTeller(nu=1), 1e-12)).tail_class == "constant"
+    assert not PoschlTeller(nu=1).exact_support
+    assert truncated(PoschlTeller(nu=1), 1e-12).exact_support
 
 
 def test_validate_rejects_degenerate_sampled():
