@@ -26,7 +26,7 @@ from .dynamics import IncidentBand, PacketSpec, band_reflection, evolve_packet, 
 from .errors import ConfigParseError, ValidationError, WeylScatterError
 from .lattice import lattice_model_from_potential, resolvent_difference_check
 from .oracle import transfer_reflection_grid
-from .potential import Potential, effective_support, potential_from_config
+from .potential import Potential, effective_support, integral, potential_from_config
 from .scattering import (
     DEFAULT_SUPPORT_THRESHOLD,
     boundary_pairs,
@@ -65,6 +65,14 @@ class RunConfig:
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 raise ConfigParseError(f"{name} must be finite and >= 0, got {value!r}")
+        if not 0.0 < self.slab_width < math.inf:
+            raise ConfigParseError(f"slab_width must be finite and > 0, got {self.slab_width!r}")
+        try:
+            self.seed = integral(self.seed)
+        except ValueError as exc:
+            raise ConfigParseError(f"seed: {exc}") from None
+        if self.seed < 0:
+            raise ConfigParseError(f"seed must be >= 0, got {self.seed}")
 
 
 def _default_grid() -> np.ndarray:
@@ -76,9 +84,13 @@ def _parse_grid(raw) -> np.ndarray:
         return _default_grid()
     if isinstance(raw, dict):
         try:
-            lo, hi, count = float(raw["min"]), float(raw["max"]), int(raw["count"])
+            lo, hi, count = float(raw["min"]), float(raw["max"]), raw["count"]
         except KeyError as exc:
             raise ConfigParseError(f"lambda_grid object needs field {exc}") from None
+        try:
+            count = integral(count)
+        except ValueError as exc:
+            raise ConfigParseError(f"lambda_grid count: {exc}") from None
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ConfigParseError(f"lambda_grid min and max must be finite, got {lo!r} and {hi!r}")
         if not (lo < hi) or count < 1:
@@ -155,7 +167,7 @@ def load_config(
             packet=packet,
             output_path=out or output.get("path"),
             output_format=out_format,
-            seed=int(seed if seed is not None else raw.get("seed", 0)),
+            seed=seed if seed is not None else raw.get("seed", 0),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigParseError(f"bad config field: {exc}") from exc
@@ -274,7 +286,7 @@ def auto_packet(p: Potential, overrides: dict) -> tuple[PacketSpec, int, str | N
             raise ConfigParseError(f"packet field {name} must be positive and finite, got {value!r}")
         return value
 
-    trace_stride = number("trace_stride", 0, int)
+    trace_stride = number("trace_stride", 0, integral)
     trace_path = overrides.pop("trace_path", None)
     k0 = positive("k0", number("k0", 1.5))
     sigma = positive("sigma_x", number("sigma_x", max(6.0, 4.0 / k0)))
@@ -288,7 +300,7 @@ def auto_packet(p: Potential, overrides: dict) -> tuple[PacketSpec, int, str | N
     n_default = 1024
     while n_default < n_min < math.inf:
         n_default *= 2
-    n_points = number("n_points", n_default, int)
+    n_points = number("n_points", n_default, integral)
     dt = number("dt", 0.01)
     v_slow = max(2.0 * (k0 - 4.0 / sigma), k0)
     t_max = number("t_max", 3.0 * (abs(x0) + half_length) / v_slow)

@@ -65,10 +65,6 @@ class LatticeModel:
             raise ValueError("z must have Im z > 0 or be a real point below min(v)")
         object.__setattr__(self, "z", z)
 
-    @property
-    def grid(self) -> np.ndarray:
-        return self.h * np.arange(-self.n, self.n + 1)
-
 
 @dataclass(frozen=True)
 class RankOneReport:
@@ -78,7 +74,6 @@ class RankOneReport:
     coeff: complex  # best-fit c in  D ~ c g g^T
     coeff_resid: float  # |c - 1/G00|
     entry_resid: float  # |D_00 - g_0^2 / G00|
-    g00_discrete: complex
     g00_continuum: complex | None
     continuum_resid: float | None
     condition: float  # upper bound on cond_2(H - z)
@@ -172,7 +167,6 @@ def resolvent_difference_check(
         coeff=coeff,
         coeff_resid=coeff_resid,
         entry_resid=entry_resid,
-        g00_discrete=complex(g00),
         g00_continuum=g00_continuum,
         continuum_resid=cont_resid,
         condition=condition,

@@ -5,13 +5,17 @@ outside a finite or effectively finite window, which keeps both half-line
 problems in the limit point case without runtime checks.  A small closed-form
 library is provided next to a sampled (piecewise linear) variant; all of them
 evaluate on scalars or numpy arrays.
+
+Each variant's dataclass is the one statement of its kind: its fields, their
+defaults and its invariants.  A potential is valid once constructed, and
+potential_from_config hands a JSON description's fields to the class by name.
 """
 from __future__ import annotations
 
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Union
 
@@ -26,14 +30,32 @@ INFINITE = math.inf
 
 @dataclass(frozen=True, eq=False)
 class Potential:
-    """Base class; concrete variants implement the value/metadata hooks."""
+    """Base class; concrete variants implement the value/metadata hooks.
+
+    Construction validates: every field annotated float, int or np.ndarray is
+    converted to that type and must be finite, then a variant's own
+    __post_init__ checks its invariants.  The first violation raises
+    InvalidPotential naming the field.
+    """
+
+    # True when V equals its tails exactly outside tolerance_radius(tol), for every tol
+    exact_support = True
+
+    def __post_init__(self):
+        for f in fields(self):
+            convert = _FIELD_TYPES.get(f.type)
+            if convert is None:
+                continue
+            raw = getattr(self, f.name)
+            try:
+                value = convert(raw)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InvalidPotential(f"{f.name}: {exc}") from None
+            if not np.all(np.isfinite(value)):
+                raise InvalidPotential(f"{f.name} must be finite, got {raw!r}")
+            object.__setattr__(self, f.name, value)
 
     def value(self, x: ArrayLike) -> ArrayLike:
-        raise NotImplementedError
-
-    @property
-    def support_radius(self) -> float:
-        """Smallest X with V constant (equal to its tail) outside [-X, X]."""
         raise NotImplementedError
 
     @property
@@ -49,11 +71,6 @@ class Potential:
     def tolerance_radius(self, tol: float) -> float:
         """Smallest X with |V(x) - tail| <= tol for all |x| >= X."""
         raise NotImplementedError
-
-    @property
-    def exact_support(self) -> bool:
-        """True when V equals its tails exactly outside support_radius."""
-        return math.isfinite(self.support_radius)
 
     def breakpoints(self) -> tuple[float, ...]:
         """Locations where V jumps or has a kink (empty when smooth)."""
@@ -111,8 +128,20 @@ class Potential:
         mean = v[:, 0] + 0.5 * np.sum((v - v[:, :1]) * rule_w, axis=1)
         return (hi - lo) * mean, np.abs(v).max(axis=1)
 
-    def _validate(self) -> list[str]:
-        return []
+
+def integral(value) -> int:
+    """value as an int: 2 and 2.0 are integral; 2.7, inf, NaN and "2" raise ValueError."""
+    if isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{value!r} is not an integer")
+
+
+# field conversions, keyed by annotation (a string: annotations are postponed)
+_FIELD_TYPES = {
+    "float": float,
+    "int": integral,
+    "np.ndarray": functools.partial(np.asarray, dtype=float),
+}
 
 
 @functools.cache
@@ -141,10 +170,6 @@ class Zero(Potential):
         return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
 
     @property
-    def support_radius(self):
-        return 0.0
-
-    @property
     def lower_bound(self):
         return 0.0
 
@@ -160,15 +185,16 @@ class SquareBarrier(Potential):
     half_width: float
     center: float = 0.0
 
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.half_width > 0:
+            raise InvalidPotential(f"half_width must be positive, got {self.half_width!r}")
+
     def value(self, x):
         x = np.asarray(x, dtype=float)
         inside = np.abs(x - self.center) <= self.half_width
         out = np.where(inside, self.height, 0.0)
         return out if out.ndim else float(out)
-
-    @property
-    def support_radius(self):
-        return abs(self.center) + self.half_width
 
     @property
     def lower_bound(self):
@@ -177,13 +203,10 @@ class SquareBarrier(Potential):
     def tolerance_radius(self, tol):
         if abs(self.height) <= tol:
             return 0.0
-        return self.support_radius
+        return abs(self.center) + self.half_width
 
     def breakpoints(self):
         return (self.center - self.half_width, self.center + self.half_width)
-
-    def _validate(self):
-        return [] if self.half_width > 0 else ["half_width must be positive"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,6 +214,12 @@ class PoschlTeller(Potential):
     """V(x) = -nu(nu+1) sech^2(x), the classic reflectionless family."""
 
     nu: int
+    exact_support = False
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.nu < 1:
+            raise InvalidPotential(f"nu must be a positive integer, got {self.nu!r}")
 
     @property
     def depth(self) -> float:
@@ -202,10 +231,6 @@ class PoschlTeller(Potential):
         return out if out.ndim else float(out)
 
     @property
-    def support_radius(self):
-        return INFINITE
-
-    @property
     def lower_bound(self):
         return -self.depth
 
@@ -214,11 +239,6 @@ class PoschlTeller(Potential):
             return 0.0
         # solve nu(nu+1) sech^2(X) = tol; monotone tail
         return float(np.arccosh(math.sqrt(self.depth / tol)))
-
-    def _validate(self):
-        if not (isinstance(self.nu, (int, np.integer)) and self.nu >= 1):
-            return ["nu must be a positive integer"]
-        return []
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,14 +249,19 @@ class GaussianBump(Potential):
     sigma: float
     center: float = 0.0
 
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.sigma > 0:
+            raise InvalidPotential(f"sigma must be positive, got {self.sigma!r}")
+
+    @property
+    def exact_support(self):
+        return self.amplitude == 0
+
     def value(self, x):
         x = np.asarray(x, dtype=float)
         out = self.amplitude * np.exp(-((x - self.center) ** 2) / (2 * self.sigma**2))
         return out if out.ndim else float(out)
-
-    @property
-    def support_radius(self):
-        return 0.0 if self.amplitude == 0 else INFINITE
 
     @property
     def lower_bound(self):
@@ -246,9 +271,6 @@ class GaussianBump(Potential):
         if abs(self.amplitude) <= tol:
             return 0.0
         return abs(self.center) + self.sigma * math.sqrt(2 * math.log(abs(self.amplitude) / tol))
-
-    def _validate(self):
-        return [] if self.sigma > 0 else ["sigma must be positive"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,10 +284,6 @@ class Step(Potential):
         x = np.asarray(x, dtype=float)
         out = np.where(x < 0, self.left_value, self.right_value)
         return out if out.ndim else float(out)
-
-    @property
-    def support_radius(self):
-        return 0.0
 
     @property
     def lower_bound(self):
@@ -292,17 +310,16 @@ class Sampled(Potential):
     tail_right: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "xs", np.asarray(self.xs, dtype=float))
-        object.__setattr__(self, "vs", np.asarray(self.vs, dtype=float))
+        super().__post_init__()
+        if self.xs.ndim != 1 or self.xs.shape != self.vs.shape:
+            raise InvalidPotential("xs and vs must be 1D and of equal length")
+        if len(self.xs) < 2 or not np.all(np.diff(self.xs) > 0):
+            raise InvalidPotential("xs must be at least two strictly increasing nodes")
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
         out = np.interp(x, self.xs, self.vs, left=self.tail_left, right=self.tail_right)
         return out if out.ndim else float(out)
-
-    @property
-    def support_radius(self):
-        return float(max(abs(self.xs[0]), abs(self.xs[-1])))
 
     @property
     def lower_bound(self):
@@ -313,20 +330,10 @@ class Sampled(Potential):
         return self.tail_left if side == "left" else self.tail_right
 
     def tolerance_radius(self, tol):
-        return self.support_radius
+        return float(max(abs(self.xs[0]), abs(self.xs[-1])))
 
     def breakpoints(self):
         return tuple(float(x) for x in self.xs)
-
-    def _validate(self):
-        problems = []
-        if len(self.xs) != len(self.vs):
-            problems.append("xs and vs must have equal length")
-        if len(self.xs) < 2:
-            problems.append("at least two sample nodes are required")
-        elif not np.all(np.diff(self.xs) > 0):
-            problems.append("xs must be strictly increasing")
-        return problems
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,14 +347,17 @@ class Truncated(Potential):
     inner: Potential
     radius: float
 
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.radius > 0:
+            raise InvalidPotential(f"radius must be positive, got {self.radius!r}")
+        if self.inner.tail_value("left") != 0.0 or self.inner.tail_value("right") != 0.0:
+            raise InvalidPotential("inner: truncation requires zero tails")
+
     def value(self, x):
         x = np.asarray(x, dtype=float)
         out = np.where(np.abs(x) <= self.radius, self.inner.value(x), 0.0)
         return out if out.ndim else float(out)
-
-    @property
-    def support_radius(self):
-        return self.radius
 
     @property
     def lower_bound(self):
@@ -360,20 +370,13 @@ class Truncated(Potential):
         inner = tuple(b for b in self.inner.breakpoints() if abs(b) < self.radius)
         return tuple(sorted(inner + (-self.radius, self.radius)))
 
-    def _validate(self):
-        problems = list(self.inner._validate())
-        if not (self.radius > 0 and math.isfinite(self.radius)):
-            problems.append("truncation radius must be positive and finite")
-        if self.inner.tail_value("left") != 0.0 or self.inner.tail_value("right") != 0.0:
-            problems.append("truncation requires zero tails on the inner potential")
-        return problems
-
 
 def effective_support(p: Potential, tol: float) -> float:
     """Smallest X such that |V(x) - tail| <= tol for all |x| >= X.
 
-    Computed analytically per variant.  Raises UnboundedTail if no finite X
-    exists, which cannot happen for the library variants.
+    Computed analytically per variant, and finite for every library variant
+    at every tol > 0.  Raises UnboundedTail when a subclass's tolerance_radius
+    returns an infinite radius.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -381,13 +384,6 @@ def effective_support(p: Potential, tol: float) -> float:
     if not math.isfinite(radius):
         raise UnboundedTail(f"no finite truncation radius at tol={tol}")
     return radius
-
-
-def validate(p: Potential) -> None:
-    """Check the variant's invariants; raise InvalidPotential on the first violation."""
-    problems = p._validate()
-    if problems:
-        raise InvalidPotential(problems[0])
 
 
 def truncated(p: Potential, tol: float) -> Potential:
@@ -402,80 +398,71 @@ def truncated(p: Potential, tol: float) -> Potential:
     return Truncated(inner=p, radius=effective_support(p, tol))
 
 
-_KIND_BUILDERS = {
-    "zero": lambda cfg, _: Zero(),
-    "square_barrier": lambda cfg, _: SquareBarrier(
-        height=float(cfg["height"]),
-        half_width=float(cfg["half_width"]),
-        center=float(cfg.get("center", 0.0)),
-    ),
-    "poschl_teller": lambda cfg, _: PoschlTeller(nu=int(cfg["nu"])),
-    "gaussian": lambda cfg, _: GaussianBump(
-        amplitude=float(cfg["amplitude"]),
-        sigma=float(cfg["sigma"]),
-        center=float(cfg.get("center", 0.0)),
-    ),
-    "step": lambda cfg, _: Step(
-        left_value=float(cfg["left_value"]),
-        right_value=float(cfg["right_value"]),
-    ),
-    "sampled": lambda cfg, base: _sampled_from_config(cfg, base),
+_KINDS = {
+    "zero": Zero,
+    "square_barrier": SquareBarrier,
+    "poschl_teller": PoschlTeller,
+    "gaussian": GaussianBump,
+    "step": Step,
+    "sampled": Sampled,
 }
 
 
-def _sampled_from_config(cfg: dict, base_dir: Path) -> Sampled:
-    tail_left = float(cfg.get("tail_left", 0.0))
-    tail_right = float(cfg.get("tail_right", 0.0))
-    if "csv" in cfg:
-        path = Path(cfg["csv"])
-        if not path.is_absolute():
-            path = base_dir / path
-        try:
-            data = np.loadtxt(path, delimiter=",", dtype=float)
-        except OSError as exc:
-            raise ConfigParseError(f"cannot read sampled CSV {path}: {exc}") from exc
-        if data.ndim != 2 or data.shape[1] != 2:
-            raise ConfigParseError(f"sampled CSV {path} must have two columns (x, V)")
-        return Sampled(xs=data[:, 0], vs=data[:, 1], tail_left=tail_left, tail_right=tail_right)
-    return Sampled(
-        xs=np.asarray(cfg["xs"], dtype=float),
-        vs=np.asarray(cfg["vs"], dtype=float),
-        tail_left=tail_left,
-        tail_right=tail_right,
-    )
+def _read_samples(path, base_dir: Path) -> dict:
+    """The xs and vs fields of a sampled potential, from a two-column (x, V) CSV file."""
+    path = Path(path)
+    if not path.is_absolute():
+        path = base_dir / path
+    try:
+        data = np.loadtxt(path, delimiter=",", dtype=float)
+    except (OSError, ValueError) as exc:
+        raise ConfigParseError(f"cannot read sampled CSV {path}: {exc}") from exc
+    if data.ndim != 2 or data.shape[1] != 2:
+        raise ConfigParseError(f"sampled CSV {path} must have two columns (x, V)")
+    return {"xs": data[:, 0], "vs": data[:, 1]}
 
 
 def potential_from_config(cfg: dict, base_dir: str | Path = ".") -> Potential:
-    """Build a validated Potential from its JSON-style description.
+    """Build a Potential from its JSON-style description.
 
-    The "kind" field selects the variant; remaining fields are the dataclass
-    fields by name.  An optional "truncate_tol" wraps the result so that it
-    has exact compact support.
+    The "kind" field selects the variant; the remaining fields go to its
+    dataclass by name, so every default is the dataclass's own, and an
+    unknown or missing field is refused by name.  A sampled potential may name
+    a two-column "csv" file (relative to base_dir) in place of xs and vs.  An
+    optional "truncate_tol" wraps the result so that it has exact compact
+    support.
     """
     if not isinstance(cfg, dict):
         raise ConfigParseError("potential config must be a JSON object")
-    try:
-        kind = cfg["kind"]
-    except KeyError:
-        raise ConfigParseError("potential config is missing the 'kind' field") from None
-    builder = _KIND_BUILDERS.get(kind)
-    if builder is None:
-        known = ", ".join(sorted(_KIND_BUILDERS))
+    given = dict(cfg)
+    if "kind" not in given:
+        raise ConfigParseError("potential config is missing the 'kind' field")
+    kind = given.pop("kind")
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        known = ", ".join(sorted(_KINDS))
         raise ConfigParseError(f"unknown potential kind {kind!r} (known: {known})")
+    tol = given.pop("truncate_tol", None)
+    if cls is Sampled and "csv" in given:
+        given.update(_read_samples(given.pop("csv"), Path(base_dir)))
+    declared = fields(cls)
+    unknown = sorted(set(given) - {f.name for f in declared})
+    if unknown:
+        raise ConfigParseError(f"unknown potential fields for kind {kind!r}: {', '.join(unknown)}")
+    missing = [f.name for f in declared if f.default is MISSING and f.name not in given]
+    if missing:
+        raise ConfigParseError(f"potential kind {kind!r} is missing field(s): {', '.join(missing)}")
+    p = cls(**given)
+    if tol is None:
+        return p
     try:
-        p = builder(cfg, Path(base_dir))
-        if "truncate_tol" in cfg:
-            p = truncated(p, float(cfg["truncate_tol"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigParseError):
-            raise
-        raise ConfigParseError(f"bad field for potential kind {kind!r}: {exc}") from exc
-    validate(p)
-    return p
+        return truncated(p, float(tol))
+    except (TypeError, ValueError) as exc:
+        raise ConfigParseError(f"bad truncate_tol: {exc}") from None
 
 
 def potential_from_json(text: str, base_dir: str | Path = ".") -> Potential:
-    """Parse a JSON string into a validated Potential."""
+    """Parse a JSON string into a Potential."""
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:

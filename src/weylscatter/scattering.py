@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResonantDenominator
+from .errors import ResonantDenominator, ValidationError
 from .potential import Potential
 from .weyl import MValue, SolverOptions, sweep
 
@@ -179,9 +179,9 @@ def reflectionless_scan(
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
-        raise ValueError("grid must be a nonempty 1D sequence")
+        raise ValidationError("grid must be a nonempty 1D sequence")
     if not np.all(np.diff(grid) > 0):
-        raise ValueError("grid must be strictly increasing")
+        raise ValidationError("grid must be strictly increasing")
     windows: list[ReflectionlessWindow] = []
     start = None
     worst = 0.0

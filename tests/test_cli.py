@@ -24,6 +24,8 @@ def parse_csv(path):
     return header, rows
 
 
+BARRIER = {"kind": "square_barrier", "height": 2.0, "half_width": 0.5}
+
 ZERO_SWEEP = {
     "potential": {"kind": "zero"},
     "lambda_grid": {"min": 0.1, "max": 10.0, "count": 50},
@@ -249,6 +251,7 @@ def test_malformed_config_exits_2(tmp_path):
         ({"half_length": math.inf}, "half_length"),
         ({"k0": "fast"}, "k0"),
         ({"n_points": "many"}, "n_points"),
+        ({"n_points": 4096.7}, "n_points"),
         ({"trace_stride": math.nan}, "trace_stride"),
     ],
     ids=lambda v: ",".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict) else v,
@@ -311,10 +314,15 @@ def test_bad_truncate_tol_exits_2(kind, tol, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
-@pytest.mark.parametrize("field, command", [("s_threshold", "reflect"), ("zero_tol", "scan")])
+@pytest.mark.parametrize(
+    "field, command",
+    [("s_threshold", "reflect"), ("zero_tol", "scan"), ("slab_width", "verify"), ("seed", "verify")],
+)
 def test_bad_threshold_exits_2(field, command, value, tmp_path, capsys):
     # a NaN s_threshold used to put every energy off S_l (reflect_prob 1 on
-    # the barrier, exit 0), and a NaN zero_tol to find no reflectionless window
+    # the barrier, exit 0), and a NaN zero_tol to find no reflectionless window;
+    # a bad slab_width used to fail only after verify's sweep, and a negative
+    # or infinite seed to end in a traceback
     payload = {"potential": BARRIER, "lambda_grid": [1.0, 2.0], field: value}
     cfg = write_config(tmp_path, "threshold.json", payload)
     out = tmp_path / "out.csv"
@@ -325,12 +333,44 @@ def test_bad_threshold_exits_2(field, command, value, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "fields, argv, field",
+    [
+        ({"seed": 2.7}, [], "seed"),
+        ({}, ["--seed", "-1"], "seed"),
+        ({"lambda_grid": {"min": 1.0, "max": 2.0, "count": 2.5}}, [], "count"),
+    ],
+    ids=["seed", "--seed", "count"],
+)
+def test_non_integral_field_exits_2(fields, argv, field, tmp_path, capsys):
+    # int() used to truncate: seed 2.7 ran seed 2, and count 2.5 two energies
+    payload = {"potential": {"kind": "zero"}, "lambda_grid": [1.0], **fields}
+    cfg = write_config(tmp_path, "int.json", payload)
+    out = tmp_path / "out.csv"
+    assert main(["verify", "--config", str(cfg), "--out", str(out), *argv]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", [[2.0, 1.0], [1.0, 1.0]])
+def test_scan_unordered_grid_exits_2(grid, tmp_path, capsys):
+    cfg = write_config(tmp_path, "scan.json", {"potential": {"kind": "zero"}, "lambda_grid": grid})
+    assert main(["scan", "--config", str(cfg)]) == 2
+    assert "strictly increasing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "fields, typo",
-    [({"lamda_grid": [1.0]}, "lamda_grid"), ({"output": {"fromat": "json"}}, "fromat")],
-    ids=["top-level", "output"],
+    [
+        ({"lamda_grid": [1.0]}, "lamda_grid"),
+        ({"output": {"fromat": "json"}}, "fromat"),
+        ({"potential": {**BARRIER, "centre": 3.0}}, "centre"),
+    ],
+    ids=["top-level", "output", "potential"],
 )
 def test_unknown_config_field_exits_2(fields, typo, tmp_path, capsys):
-    # a misspelt lambda_grid used to run the default grid and exit 0
+    # a misspelt lambda_grid used to run the default grid and exit 0, and a
+    # misspelt barrier centre to run the barrier at 0
     cfg = write_config(tmp_path, "typo.json", {"potential": BARRIER, **fields})
     out = tmp_path / "out.csv"
     assert main(["reflect", "--config", str(cfg), "--out", str(out)]) == 2
@@ -402,9 +442,6 @@ def test_stdout_output(tmp_path, capsys):
     assert out.startswith("lambda,side,m_re,m_im,err\n")
 
 
-BARRIER = {"kind": "square_barrier", "height": 2.0, "half_width": 0.5}
-
-
 def _record_solves(monkeypatch, refuse=False):
     """Wrap `sweep` wherever the package holds it, and the batch m-solver under it.
 
@@ -463,6 +500,31 @@ def test_verify_bad_packet_exits_2_before_any_m_solve(packet, message, tmp_path,
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "validation error" in err and message in err, err
+    assert batches == [] and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "potential, field",
+    [
+        ({"kind": "step", "left_value": 0.0, "right_value": math.nan}, "right_value"),
+        ({"kind": "sampled", "xs": [-1.0, 0.0, 1.0], "vs": [0.0, math.nan, 0.0]}, "vs"),
+        ({"kind": "gaussian", "amplitude": 1.0, "sigma": math.inf}, "sigma"),
+        ({"kind": "poschl_teller", "nu": 2.7}, "nu"),
+        ({"kind": "square_barrier", "height": 2.0}, "half_width"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v["kind"],
+)
+def test_bad_potential_field_exits_2_before_any_m_solve(
+    potential, field, tmp_path, monkeypatch, capsys
+):
+    # a NaN sampled value used to spin the solver for minutes, a NaN step to
+    # print NaN rows and exit 0, and nu 2.7 to run nu = 2
+    _, batches = _record_solves(monkeypatch, refuse=True)
+    cfg = write_config(tmp_path, "p.json", {"potential": potential, "lambda_grid": [1.0, 2.0]})
+    out = tmp_path / "out.csv"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err, err
     assert batches == [] and not out.exists()
 
 

@@ -19,7 +19,6 @@ from weylscatter import (
     potential_from_config,
     potential_from_json,
     truncated,
-    validate,
 )
 
 LIBRARY = [
@@ -114,14 +113,12 @@ def test_effective_support_rejects_nonpositive_tol():
 
 def test_validate_zero():
     p = Zero()
-    validate(p)
     assert p.lower_bound == 0.0
     assert p.exact_support
 
 
 def test_validate_poschl_teller_nu2():
     p = PoschlTeller(nu=2)
-    validate(p)
     assert p.lower_bound == -6.0
 
 
@@ -130,14 +127,57 @@ def test_validate_decaying_tail_class():
     assert truncated(PoschlTeller(nu=1), 1e-12).exact_support
 
 
+def test_exact_support_of_every_variant():
+    # True where V equals its tails outside a finite radius; the decaying
+    # variants have it only when truncated or of zero amplitude
+    expected = [True, True, True, False, False, False, True, True]
+    assert [p.exact_support for p in LIBRARY] == expected
+    assert GaussianBump(amplitude=0.0, sigma=1.0).exact_support
+    assert Truncated(inner=PoschlTeller(nu=1), radius=20.0).exact_support
+
+
 def test_validate_rejects_degenerate_sampled():
     with pytest.raises(InvalidPotential):
-        validate(Sampled(xs=[0.0, 0.0], vs=[1.0, 1.0]))
+        Sampled(xs=[0.0, 0.0], vs=[1.0, 1.0])
 
 
 def test_validate_rejects_bad_nu():
     with pytest.raises(InvalidPotential):
-        validate(PoschlTeller(nu=0))
+        PoschlTeller(nu=0)
+
+
+INVALID = [
+    (SquareBarrier, {"height": math.nan, "half_width": 0.5}, "height"),
+    (SquareBarrier, {"height": 2.0, "half_width": 0.5, "center": math.inf}, "center"),
+    (SquareBarrier, {"height": 2.0, "half_width": 0.0}, "half_width"),
+    (PoschlTeller, {"nu": 2.7}, "nu"),
+    (PoschlTeller, {"nu": "2"}, "nu"),
+    (GaussianBump, {"amplitude": 1.0, "sigma": -math.inf}, "sigma"),
+    (GaussianBump, {"amplitude": 1.0, "sigma": 0.0}, "sigma"),
+    (Step, {"left_value": 0.0, "right_value": math.nan}, "right_value"),
+    (Sampled, {"xs": [-1.0, 0.0, 1.0], "vs": [0.0, math.nan, 0.0]}, "vs"),
+    (Sampled, {"xs": [-1.0, 0.0, 1.0], "vs": [0.0, 1.0]}, "xs and vs"),
+    (Sampled, {"xs": [-1.0, 1.0], "vs": [0.0, 0.0], "tail_right": math.inf}, "tail_right"),
+    (Sampled, {"xs": [1.0, -1.0], "vs": [0.0, 0.0]}, "xs"),
+    (Truncated, {"inner": PoschlTeller(nu=1), "radius": math.nan}, "radius"),
+    (Truncated, {"inner": PoschlTeller(nu=1), "radius": 0.0}, "radius"),
+    (Truncated, {"inner": Step(0.0, 1.0), "radius": 1.0}, "inner"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, name", INVALID, ids=[f"{cls.__name__}-{name}" for cls, _, name in INVALID]
+)
+def test_construction_refuses_invalid_fields(cls, fields, name):
+    with pytest.raises(InvalidPotential, match=name):
+        cls(**fields)
+
+
+def test_construction_converts_fields():
+    assert PoschlTeller(nu=2.0).nu == 2 and isinstance(PoschlTeller(nu=2.0).nu, int)
+    barrier = SquareBarrier(height=2, half_width=1)
+    assert isinstance(barrier.height, float) and isinstance(barrier.center, float)
+    assert Sampled(xs=[0, 1], vs=[2, 3]).xs.dtype == np.float64
 
 
 def test_sampled_interpolation_and_tails():
@@ -160,7 +200,7 @@ def test_step_tail_values():
 def test_truncated_clips_tails():
     p = truncated(PoschlTeller(nu=1), 1e-12)
     assert isinstance(p, Truncated)
-    r = p.support_radius
+    r = p.radius
     assert p.value(r + 1e-9) == 0.0
     assert p.value(r - 1e-9) != 0.0
     assert p.exact_support
@@ -244,8 +284,10 @@ def test_config_unknown_kind():
 def test_config_missing_kind_and_fields():
     with pytest.raises(ConfigParseError):
         potential_from_config({})
-    with pytest.raises(ConfigParseError):
+    with pytest.raises(ConfigParseError, match="half_width"):
         potential_from_config({"kind": "square_barrier", "height": 1.0})
+    with pytest.raises(ConfigParseError, match="unknown.*centre"):
+        potential_from_config({"kind": "square_barrier", "height": 1.0, "half_width": 0.5, "centre": 3.0})
 
 
 def test_config_sampled_csv(tmp_path):

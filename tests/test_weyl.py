@@ -271,10 +271,6 @@ class _PoisonedPotential(Zero):
         out = np.where((x > 0.4) & (x < 0.6), np.nan, out)
         return out if out.ndim else float(out)
 
-    @property
-    def support_radius(self):
-        return 1.0
-
     def tolerance_radius(self, tol):
         return 1.0
 
