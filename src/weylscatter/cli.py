@@ -43,6 +43,9 @@ CONFIG_FIELDS = (
     "slab_width", "packet", "output", "seed",
 )
 OUTPUT_FIELDS = ("path", "format")
+# a {min, max, count} grid is refused above this many energies before any
+# allocation; every command holds several float64 columns per energy
+MAX_GRID_COUNT = 100_000
 
 
 @dataclass
@@ -79,14 +82,22 @@ def _default_grid() -> np.ndarray:
     return np.linspace(0.5, 8.0, 16)
 
 
+def _number(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigParseError(f"{name}: {exc}") from None
+
+
 def _parse_grid(raw) -> np.ndarray:
     if raw is None:
         return _default_grid()
     if isinstance(raw, dict):
         try:
-            lo, hi, count = float(raw["min"]), float(raw["max"]), raw["count"]
+            lo, hi, count = raw["min"], raw["max"], raw["count"]
         except KeyError as exc:
             raise ConfigParseError(f"lambda_grid object needs field {exc}") from None
+        lo, hi = _number(lo, "lambda_grid min"), _number(hi, "lambda_grid max")
         try:
             count = integral(count)
         except ValueError as exc:
@@ -95,11 +106,13 @@ def _parse_grid(raw) -> np.ndarray:
             raise ConfigParseError(f"lambda_grid min and max must be finite, got {lo!r} and {hi!r}")
         if not (lo < hi) or count < 1:
             raise ConfigParseError("lambda_grid needs min < max and count >= 1")
+        if count > MAX_GRID_COUNT:
+            raise ConfigParseError(f"lambda_grid count must be at most {MAX_GRID_COUNT}, got {count}")
         return np.linspace(lo, hi, count)
     if isinstance(raw, list):
         if not raw:
             raise ConfigParseError("lambda_grid list must be nonempty")
-        grid = np.asarray([float(v) for v in raw])
+        grid = np.asarray([_number(v, f"lambda_grid[{i}]") for i, v in enumerate(raw)])
         bad = grid[~np.isfinite(grid)]
         if bad.size:
             raise ConfigParseError(f"lambda_grid energies must be finite, got {float(bad[0])!r}")
@@ -161,9 +174,9 @@ def load_config(
             command=cmd,
             lambda_grid=_parse_grid(raw.get("lambda_grid")),
             solver=solver,
-            s_threshold=float(raw.get("s_threshold", DEFAULT_SUPPORT_THRESHOLD)),
-            zero_tol=float(raw.get("zero_tol", 1e-6)),
-            slab_width=float(raw.get("slab_width", 0.005)),
+            s_threshold=_number(raw.get("s_threshold", DEFAULT_SUPPORT_THRESHOLD), "s_threshold"),
+            zero_tol=_number(raw.get("zero_tol", 1e-6), "zero_tol"),
+            slab_width=_number(raw.get("slab_width", 0.005), "slab_width"),
             packet=packet,
             output_path=out or output.get("path"),
             output_format=out_format,

@@ -444,6 +444,9 @@ def potential_from_config(cfg: dict, base_dir: str | Path = ".") -> Potential:
         raise ConfigParseError(f"unknown potential kind {kind!r} (known: {known})")
     tol = given.pop("truncate_tol", None)
     if cls is Sampled and "csv" in given:
+        inline = [name for name in ("xs", "vs") if name in given]
+        if inline:
+            raise ConfigParseError(f"sampled potential gives both csv and {'/'.join(inline)}; give one")
         given.update(_read_samples(given.pop("csv"), Path(base_dir)))
     declared = fields(cls)
     unknown = sorted(set(given) - {f.name for f in declared})

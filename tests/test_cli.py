@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from weylscatter import ConfigParseError
-from weylscatter.cli import load_config, main, render_csv
+from weylscatter.cli import MAX_GRID_COUNT, load_config, main, render_csv
 
 
 def write_config(tmp_path, name, payload):
@@ -313,7 +313,7 @@ def test_bad_truncate_tol_exits_2(kind, tol, tmp_path, capsys):
     assert "config error" in err and "truncate_tol" in err, err
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, "a"])
 @pytest.mark.parametrize(
     "field, command",
     [("s_threshold", "reflect"), ("zero_tol", "scan"), ("slab_width", "verify"), ("seed", "verify")],
@@ -322,7 +322,8 @@ def test_bad_threshold_exits_2(field, command, value, tmp_path, capsys):
     # a NaN s_threshold used to put every energy off S_l (reflect_prob 1 on
     # the barrier, exit 0), and a NaN zero_tol to find no reflectionless window;
     # a bad slab_width used to fail only after verify's sweep, and a negative
-    # or infinite seed to end in a traceback
+    # or infinite seed to end in a traceback; a number that failed to parse
+    # was reported without its field
     payload = {"potential": BARRIER, "lambda_grid": [1.0, 2.0], field: value}
     cfg = write_config(tmp_path, "threshold.json", payload)
     out = tmp_path / "out.csv"
@@ -338,11 +339,16 @@ def test_bad_threshold_exits_2(field, command, value, tmp_path, capsys):
         ({"seed": 2.7}, [], "seed"),
         ({}, ["--seed", "-1"], "seed"),
         ({"lambda_grid": {"min": 1.0, "max": 2.0, "count": 2.5}}, [], "count"),
+        ({"lambda_grid": {"min": "a", "max": 2.0, "count": 3}}, [], "lambda_grid min"),
+        ({"lambda_grid": {"min": 1.0, "max": [2.0], "count": 3}}, [], "lambda_grid max"),
+        ({"lambda_grid": ["x", 1.0]}, [], "lambda_grid[0]"),
+        ({"lambda_grid": [1.0, None]}, [], "lambda_grid[1]"),
     ],
-    ids=["seed", "--seed", "count"],
+    ids=["seed", "--seed", "count", "grid-min", "grid-max", "grid-list-0", "grid-list-1"],
 )
 def test_non_integral_field_exits_2(fields, argv, field, tmp_path, capsys):
-    # int() used to truncate: seed 2.7 ran seed 2, and count 2.5 two energies
+    # int() used to truncate: seed 2.7 ran seed 2, and count 2.5 two energies;
+    # a grid number that failed to parse was reported without its field
     payload = {"potential": {"kind": "zero"}, "lambda_grid": [1.0], **fields}
     cfg = write_config(tmp_path, "int.json", payload)
     out = tmp_path / "out.csv"
@@ -350,6 +356,24 @@ def test_non_integral_field_exits_2(fields, argv, field, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and field in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("count", [MAX_GRID_COUNT + 1, 10**9])
+def test_grid_count_above_ceiling_exits_2(count, tmp_path, capsys, monkeypatch):
+    # count 1e9 used to build an 8 GB grid; it must be refused before any allocation
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid allocated")
+
+    payload = {"potential": {"kind": "zero"}, "lambda_grid": {"min": 1.0, "max": 2.0, "count": count}}
+    cfg = write_config(tmp_path, "big.json", payload)
+    with monkeypatch.context() as m:
+        m.setattr(np, "linspace", no_grid)
+        assert main(["reflect", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"at most {MAX_GRID_COUNT}" in err, err
+    payload["lambda_grid"]["count"] = MAX_GRID_COUNT
+    loaded = load_config(write_config(tmp_path, "max.json", payload), command="reflect")
+    assert loaded.lambda_grid.size == MAX_GRID_COUNT
 
 
 @pytest.mark.parametrize("grid", [[2.0, 1.0], [1.0, 1.0]])

@@ -1,10 +1,13 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from weylscatter import (
     BoundaryLeak,
+    GaussianBump,
     NotConverged,
     PacketSpec,
     PoschlTeller,
@@ -86,27 +89,64 @@ def test_stepper_norm_preservation_long_run():
     assert abs(prop.norm_sq(psi) - n0) <= 1e-10
 
 
+# the barrier's cells are nonzero on 2 rows of the split work array, so steps
+# are joined by the rank-2 update; the wide bump's cells are nonzero over
+# |x| < 38, more than a quarter of the rows, so by the column FFT pair
+NARROW = SquareBarrier(height=2.0, half_width=0.5)
+WIDE = GaussianBump(amplitude=1.0, sigma=1.0)
+
+
 @pytest.mark.parametrize("n_points", [2, 1000, 2048, 8192, 8209, 10000, 16384])
 def test_step_matches_plain_strang_step(n_points):
     # from 8192 points the propagator splits each FFT in four steps; below
     # that it must reproduce the plain one-FFT step bit for bit
-    prop = SplitStepPropagator(SquareBarrier(height=2.0, half_width=0.5), 60.0, n_points, 0.01)
-    rng = np.random.default_rng(n_points)
-    psi = rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points)
-    original = psi.copy()
-    half_potential = np.exp(-0.5j * prop.dt * prop.v)
-    kinetic = np.exp(-1j * prop.dt * prop.k**2)
-    expected = psi
-    for _ in range(50):
-        expected = half_potential * expected
-        expected = np.fft.ifft(kinetic * np.fft.fft(expected))
-        expected = half_potential * expected
-    result = prop.step(psi, 50)
-    assert result.shape == (n_points,)
-    assert np.array_equal(psi, original)
-    assert float(np.max(np.abs(result - expected))) <= 1e-12
-    if n_points < 8192:
-        assert np.array_equal(result, expected)
+    for potential in (NARROW, WIDE):
+        prop = SplitStepPropagator(potential, 60.0, n_points, 0.01)
+        rng = np.random.default_rng(n_points)
+        psi = rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points)
+        original = psi.copy()
+        half_potential = np.exp(-0.5j * prop.dt * prop.v)
+        kinetic = np.exp(-1j * prop.dt * prop.k**2)
+        expected = psi
+        for _ in range(50):
+            expected = half_potential * expected
+            expected = np.fft.ifft(kinetic * np.fft.fft(expected))
+            expected = half_potential * expected
+        result = prop.step(psi, 50)
+        assert result.shape == (n_points,)
+        assert np.array_equal(psi, original)
+        assert float(np.max(np.abs(result - expected))) <= 1e-12, potential
+        if n_points < 8192:
+            assert np.array_equal(result, expected), potential
+
+
+@pytest.mark.parametrize("potential, expected", [(NARROW, 52), (WIDE, 100)], ids=["narrow", "wide"])
+def test_fft_calls_per_batch(potential, expected, monkeypatch):
+    # 2n + 2 FFTs for n steps when V spans few rows of the split work array,
+    # the four of the plain four-step split per step otherwise
+    prop = SplitStepPropagator(potential, 60.0, 16384, 0.01)
+    psi = prop.initial_packet(FREE_SPEC)
+    calls = []
+    for name in ("fft", "ifft"):
+        transform = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *a, _f=transform, **kw: calls.append(1) or _f(*a, **kw))
+    prop.step(psi, 25)
+    assert len(calls) == expected
+
+
+@pytest.mark.parametrize("n_points", [1024, 16384])
+def test_dropped_propagator_is_freed_without_cycle_collection(n_points):
+    # a propagator holds several n-point arrays; a reference cycle through it
+    # would keep each dropped one alive until the next cyclic collection
+    gc.disable()
+    try:
+        prop = SplitStepPropagator(NARROW, 300.0, n_points, 0.01)
+        prop.step(prop.initial_packet(FREE_SPEC), 2)
+        ref = weakref.ref(prop)
+        del prop
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_time_reversal_recovers_initial_packet():

@@ -299,6 +299,10 @@ def test_config_sampled_csv(tmp_path):
     )
     assert p.value(0.0) == 1.0
     assert p.value(0.5) == 0.5
+    # inline samples next to a csv used to be dropped silently
+    for inline in ({"xs": [-1.0, 0.0, 1.0], "vs": [0.0, 5.0, 0.0]}, {"vs": [0.0, 5.0, 0.0]}):
+        with pytest.raises(ConfigParseError, match="both csv and .*vs"):
+            potential_from_config({"kind": "sampled", "csv": "v.csv", **inline}, base_dir=tmp_path)
 
 
 def test_config_sampled_csv_missing_file(tmp_path):
