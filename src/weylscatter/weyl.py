@@ -21,12 +21,13 @@ SpectralSingularity, since near a pole of m (a band edge or a Dirichlet
 eigenvalue) the two solves disagree at leading order.
 
 All solves of one call run together: a lane is one (z, side, tolerance)
-solve, and a single Dormand-Prince kernel advances every running lane in
-lockstep over numpy arrays; a lane leaves the arrays when it finishes or
-fails.  `sweep` batches a whole energy grid this way.  A batch takes as many
-attempt passes as its slowest lane needs, and each pass makes a fixed number
-of numpy calls whatever the lane count: the Butcher tableau is summed by
-column into reused work arrays, bit for bit the row-by-row sums.
+solve, and a single eighth-order Dormand-Prince kernel (DOP853) advances
+every running lane in lockstep over numpy arrays; a lane leaves the arrays
+when it finishes or fails.  `sweep` batches a whole energy grid this way.  A
+batch takes as many attempt passes as its slowest lane needs, and each pass
+makes a fixed number of numpy calls whatever the lane count: the Butcher
+tableau is summed by column into reused work arrays, each sum adding its
+terms in tableau order.
 """
 from __future__ import annotations
 
@@ -54,7 +55,11 @@ _RENORM_INTERVAL = 16  # accepted steps between rescalings of (u, u')
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for the m-function solver."""
+    """Knobs for the m-function solver.
+
+    The ODE tolerances bound the local error of each step; the kernel holds
+    it to weyl._TOL_SCALE (1e-3) times them, a scale set by measurement.
+    """
 
     truncation_tol: float = 1e-12
     rel_ode_tol: float = 1e-10
@@ -77,47 +82,174 @@ class MValue:
     err_estimate: float
 
 
-# Dormand-Prince 5(4) coefficients (FSAL pair).
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71 / 57600,
-    -71 / 16695,
-    71 / 1920,
-    -17253 / 339200,
-    22 / 525,
-    -1 / 40,
+# Dormand-Prince 8(5,3) coefficients, DOP853 (Hairer, Norsett & Wanner, Solving
+# Ordinary Differential Equations I, 2nd ed., section II.10).  Stage i takes
+# the slope at x + c_i h of y + h (A_i1 k_1 + ... + A_i,i-1 k_i-1); _A lists
+# the rows of stages 2-12, zeros included.  y_new weighs the slopes by _B; the
+# fifth- and third-order error estimates by _E5 and by _B - _BHH.  The slope
+# at y_new, the first of the next step (FSAL), enters no sum: its weights in
+# both estimates are zero.
+_C = (
+    0.526001519587677318785587544488e-01,
+    0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510,
+    0.281649658092772603273242802490,
+    0.333333333333333333333333333333,
+    0.25,
+    0.307692307692307692307692307692,
+    0.651282051282051282051282051282,
+    0.6,
+    0.857142857142857142857142857142,
+    1.0,
+)
+_A = (
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0, 8.87627564304205475450678981324e-2),
+    (
+        2.41365134159266685502369798665e-1,
+        0,
+        -8.84549479328286085344864962717e-1,
+        9.24834003261792003115737966543e-1,
+    ),
+    (3.7037037037037037037037037037e-2, 0, 0, 1.70828608729473871279604482173e-1, 1.25467687566822425016691814123e-1),
+    (
+        3.7109375e-2,
+        0,
+        0,
+        1.70252211019544039314978060272e-1,
+        6.02165389804559606850219397283e-2,
+        -1.7578125e-2,
+    ),
+    (
+        3.70920001185047927108779319836e-2,
+        0,
+        0,
+        1.70383925712239993810214054705e-1,
+        1.07262030446373284651809199168e-1,
+        -1.53194377486244017527936158236e-2,
+        8.27378916381402288758473766002e-3,
+    ),
+    (
+        6.24110958716075717114429577812e-1,
+        0,
+        0,
+        -3.36089262944694129406857109825,
+        -8.68219346841726006818189891453e-1,
+        2.75920996994467083049415600797e1,
+        2.01540675504778934086186788979e1,
+        -4.34898841810699588477366255144e1,
+    ),
+    (
+        4.77662536438264365890433908527e-1,
+        0,
+        0,
+        -2.48811461997166764192642586468,
+        -5.90290826836842996371446475743e-1,
+        2.12300514481811942347288949897e1,
+        1.52792336328824235832596922938e1,
+        -3.32882109689848629194453265587e1,
+        -2.03312017085086261358222928593e-2,
+    ),
+    (
+        -9.3714243008598732571704021658e-1,
+        0,
+        0,
+        5.18637242884406370830023853209,
+        1.09143734899672957818500254654,
+        -8.14978701074692612513997267357,
+        -1.85200656599969598641566180701e1,
+        2.27394870993505042818970056734e1,
+        2.49360555267965238987089396762,
+        -3.0467644718982195003823669022,
+    ),
+    (
+        2.27331014751653820792359768449,
+        0,
+        0,
+        -1.05344954667372501984066689879e1,
+        -2.00087205822486249909675718444,
+        -1.79589318631187989172765950534e1,
+        2.79488845294199600508499808837e1,
+        -2.85899827713502369474065508674,
+        -8.87285693353062954433549289258,
+        1.23605671757943030647266201528e1,
+        6.43392746015763530355970484046e-1,
+    ),
+)
+_B = np.array(
+    [
+        5.42937341165687622380535766363e-2,
+        0,
+        0,
+        0,
+        0,
+        4.45031289275240888144113950566,
+        1.89151789931450038304281599044,
+        -5.8012039600105847814672114227,
+        3.1116436695781989440891606237e-1,
+        -1.52160949662516078556178806805e-1,
+        2.01365400804030348374776537501e-1,
+        4.47106157277725905176885569043e-2,
+    ]
+)
+_BHH = np.zeros(12)
+_BHH[[0, 8, 11]] = (
+    0.244094488188976377952755905512,
+    0.733846688281611857341361741547,
+    0.220588235294117647058823529412e-1,
+)
+_E5 = np.array(
+    [
+        0.1312004499419488073250102996e-1,
+        0,
+        0,
+        0,
+        0,
+        -0.1225156446376204440720569753e1,
+        -0.4957589496572501915214079952,
+        0.1664377182454986536961530415e1,
+        -0.3503288487499736816886487290,
+        0.3341791187130174790297318841,
+        0.8192320648511571246570742613e-1,
+        -0.2235530786388629525884427845e-1,
+    ]
 )
 
+# Distinct abscissae of one attempt, as fractions of the step: those of stages
+# 2-12, the last of which (x + h) the slope at y_new shares.
+_NODES = np.array(_C)[:, None]
 
-# Distinct abscissae of one attempt, as fractions of the step: stages 2-5,
-# then x + h, which stages 6 and 7 share.
-_NODES = np.array([_C2, _C3, _C4, _C5, 1.0])[:, None]
+# Lanes integrate at this multiple of the configured ODE tolerances.  The few
+# long DOP853 steps leave a global error near the tolerance, where the many
+# short steps of a fifth-order pair (DP5) leave theirs 100-1000 times below
+# it.  Measured on the drift grid of tests/test_drift.py (96 m-values over
+# six potentials): at 1e-3 no error bar is larger and no m farther from its
+# closed form than under DP5 at the same SolverOptions; at 1e-2 four error
+# bars are larger, at 1 thirty-eight.
+_TOL_SCALE = 1e-3
 
-# The tableau by column.  An attempt keeps seven running sums: the inputs of
-# stages 2-6, then y_new, then the error estimate.  Column j holds the
-# coefficients of slope k_j in the sums from row j on that use it, so each
-# slope is added to all of its sums as soon as it is known, and every sum
-# still adds its terms in tableau order.  k_1 skips y_new and the error, whose
-# coefficients are zero: a product 0 * inf would turn a failing lane's value
-# into NaN.  The coefficients are complex so that no product casts.
-_COLUMNS = tuple(
-    np.array(column, dtype=complex)[:, None]
-    for column in (
-        [_A21, _A31, _A41, _A51, _A61, _B1, _E1],
-        [_A32, _A42, _A52, _A62],
-        [_A43, _A53, _A63, _B3, _E3],
-        [_A54, _A64, _B4, _E4],
-        [_A65, _B5, _E5],
-        [_B6, _E6],
-        [_E7],
-    )
-)
+
+def _tableau_columns() -> tuple:
+    """The tableau by column.
+
+    An attempt keeps fourteen running sums: the inputs of stages 2-12, then
+    y_new, then the fifth- and the third-order error estimates.  Column j
+    holds the coefficients of slope k_j in the sums from stage j + 1's input
+    on, up to its last nonzero one; in DOP853 every entry of that run is
+    nonzero, so no slope is multiplied by zero (a product 0 * inf would turn
+    a failing lane's value into NaN).  Each slope is added to all of its
+    sums as soon as it is known, and every sum still adds its terms in
+    tableau order.  The coefficients are complex so that no product casts.
+    """
+    sums = np.zeros((14, 12))
+    for i, row in enumerate(_A):
+        sums[i, : len(row)] = row
+    sums[11:] = _B, _E5, _B - _BHH
+    return tuple(np.trim_zeros(sums[j:, j], "b").astype(complex)[:, None] for j in range(12))
+
+
+_COLUMNS = _tableau_columns()
 
 
 class _Lanes:
@@ -143,7 +275,8 @@ class _Scratch:
     values.  When lanes leave, fit() views the first arrays at the new lane
     count, so the batch allocates no more.  Like the lane state, stages[j]
     holds stage j + 2's input (u, u') in rows 0-1 and its slope
-    (u', (V - z) u) in rows 1-2; stages[5] is the state after an accepted step.
+    (u', (V - z) u) in rows 1-2; stages[11] is y_new and the slope there, the
+    state after an accepted step.
     """
 
     def __init__(self, width: int):
@@ -172,18 +305,18 @@ class _Scratch:
         self.hh = self.hc[0].real
         columns = [full[:, : 2 * n].reshape(-1, 2, n) for full in self._columns]
         self.k0_column = columns[0]
-        self.xs = array("xs", (5, n))
+        self.xs = array("xs", (len(_NODES), n))
         # V is real, so (V + 0j) - z has imaginary part 0 - Im z on every pass
-        self.vz = array("vz", (5, n), complex)
+        self.vz = array("vz", (len(_NODES), n), complex)
         np.subtract(0.0, z.imag, out=self.vz.imag)
-        self.acc = array("acc", (7, 2, n), complex)  # the running sums, see _COLUMNS
-        self.terms = array("terms", (7, 2, n), complex)
-        # one array per stage, so that none here passes glibc's 128 KiB mmap
-        # threshold below about 580 lanes
-        self.stages = [array(f"stage{j}", (3, n), complex) for j in range(6)]
-        self.y_new = self.stages[5][:2]
-        # per stage j + 2 (y_new for j = 5): its sum, input, u, slope row to
-        # fill, slope and V - z, then the next column and the sums it feeds
+        self.acc = array("acc", (14, 2, n), complex)  # the running sums, see _tableau_columns
+        self.terms = array("terms", (14, 2, n), complex)
+        # one array per stage, each under glibc's 128 KiB mmap threshold
+        # below about 2700 lanes
+        self.stages = [array(f"stage{j}", (3, n), complex) for j in range(12)]
+        self.y_new = self.stages[11][:2]
+        # per stage j + 2: its sum, input, u, slope row to fill, slope and
+        # V - z, then the next column and the sums it feeds
         self.plan = []
         for j, column in enumerate(columns[1:]):
             rows = slice(j + 1, j + 1 + column.shape[0])
@@ -195,15 +328,16 @@ class _Scratch:
                     stage[0],
                     stage[2],
                     stage[1:],
-                    self.vz[min(j, 4)],
+                    self.vz[j],
                     column,
                     self.terms[rows],
                     self.acc[rows],
                 )
             )
-        self.r = array("r", (2, n))
+        self.r = array("r", (2, 2, n))  # |error estimates| / scale, fifth order first
         self.scale = array("scale", (2, n))
         self.scale_new = array("scale_new", (2, n))
+        self.e = array("e", (2, n))
         self.gap = array("gap", (n,))
         self.err = array("err", (n,))
         self.grow = array("grow", (n,))
@@ -227,12 +361,17 @@ def _integrate(p: Potential, z, right, rtol, atol, opts: SolverOptions):
     gathered out, so every attempt pass advances every lane it holds.
     Scaling the pair (u, u') is harmless: only the ratio u'/u is used.
 
-    A batch takes as many attempt passes as its slowest lane needs, and a
-    pass makes the same 70 numpy calls (plus V's) whatever the lane count, so
-    a batch costs about (passes of its slowest lane) x (cost of one pass).
-    The tableau is summed by column (_COLUMNS), a multiply and an add per
-    slope, each sum still adding its terms in tableau order, and every call
-    writes into work arrays (_Scratch) allocated once per batch.
+    Each attempt is one DOP853 step: twelve stages at eleven distinct nodes,
+    so V is called once per pass on an (11, lanes) block, and Hairer's error
+    norm of the fifth- and third-order estimates, with step factor
+    0.9 err^(-1/8) clamped to [0.2, 10].  Lanes step at _TOL_SCALE times
+    their given tolerances.  A batch takes as many attempt passes as its
+    slowest lane needs, and a pass makes the same 102 numpy calls (plus V's)
+    whatever the lane count, so a batch costs about (passes of its slowest
+    lane) x (cost of one pass).  The tableau is summed by column (_COLUMNS),
+    a multiply and an add per slope, each sum adding its terms in tableau
+    order, and every call writes into work arrays (_Scratch) allocated once
+    per batch.
 
     Returns the m-values (NaN where a lane failed) and, per lane, None or
     the typed error that stopped it.
@@ -266,8 +405,8 @@ def _integrate(p: Potential, z, right, rtol, atol, opts: SolverOptions):
         n_seg=np.array([len(ends) for ends in plans])[side],
         z=z,
         sign=sign,
-        rtol=rtol,
-        atol=atol,
+        rtol=rtol * _TOL_SCALE,
+        atol=atol * _TOL_SCALE,
         cap=cap,
         x=x,
         h=np.minimum(cap, x_edge) * 0.25,
@@ -339,23 +478,33 @@ def _integrate(p: Potential, z, right, rtol, atol, opts: SolverOptions):
         np.subtract(p.value(xs), s.z.real, out=work.vz.real)  # one potential call per attempt
         # each slope joins every sum that uses it; a completed sum, scaled by
         # the step, is the next stage's input
-        np.multiply(work.k0_column, s.yk[1:], out=work.acc)
+        acc = work.acc
+        np.multiply(work.k0_column, s.yk[1:], out=acc)
         for total, stage, u, du, k, vz, column, terms, sums in work.plan:
             np.multiply(hc, total, out=total)
             np.add(y, total, out=stage)
             np.multiply(vz, u, out=du)
             np.multiply(column, k, out=terms)
             np.add(sums, terms, out=sums)
+        np.multiply(hc, acc[11], out=acc[11])
+        np.add(y, acc[11], out=work.y_new)
+        np.multiply(work.vz[-1], work.y_new[0], out=work.stages[11][2])  # the FSAL slope
+        # Hairer's norm |h| e5 / sqrt(2 (e5 + 0.01 e3)), with e5 and e3 the
+        # squared scaled norms of the two error estimates over (u, u')
         r, scale, err = work.r, work.scale, work.err
-        np.abs(np.multiply(hc, work.acc[6], out=work.acc[6]), out=r)  # |error estimate|
         np.maximum(np.abs(y, out=scale), np.abs(work.y_new, out=work.scale_new), out=scale)
         np.multiply(s.rtol, scale, out=scale)
         np.add(s.atol, scale, out=scale)
-        np.divide(r, scale, out=r)
+        np.divide(np.abs(acc[12:], out=r), scale, out=r)
         np.square(r, out=r)
-        np.add(r[0], r[1], out=err)
-        np.multiply(0.5, err, out=err)
-        np.sqrt(err, out=err)
+        e5, e3 = np.add(r[:, 0], r[:, 1], out=work.e)
+        np.multiply(s.h, e5, out=err)
+        np.multiply(0.01, e3, out=e3)
+        np.add(e5, e3, out=e3)
+        np.multiply(2.0, e3, out=e3)
+        np.sqrt(e3, out=e3)
+        # both estimates zero leave err = 0
+        np.divide(err, e3, out=err, where=np.not_equal(e3, 0.0, out=work.nonzero))
 
         attempts += 1
         if attempts >= _MAX_STEPS:
@@ -363,7 +512,7 @@ def _integrate(p: Potential, z, right, rtol, atol, opts: SolverOptions):
             break
         ok = np.less_equal(err, 1.0, out=work.ok)
         np.add(s.x, hh, out=s.x, where=ok)
-        np.copyto(s.yk, work.stages[5], where=ok)  # FSAL: the last slope is the next first
+        np.copyto(s.yk, work.stages[11], where=ok)  # FSAL: the last slope is the next first
         s.accepted += ok
         phase = np.remainder(s.accepted, _RENORM_INTERVAL, out=work.phase)
         renorm = np.equal(phase, 0, out=work.renorm)
@@ -374,13 +523,13 @@ def _integrate(p: Potential, z, right, rtol, atol, opts: SolverOptions):
             inv = 1.0 / np.where(renorm, size, 1.0)
             np.copyto(s.yk, s.yk * inv, where=renorm)
         # A NaN error estimate must shrink the step like any rejection, so NaN
-        # maps to the 0.2 floor (fmax), and err == 0 to the 5x ceiling (inf).
+        # maps to the 0.2 floor (fmax), and err == 0 to the 10x ceiling (inf).
         grow = work.grow
         grow.fill(np.inf)
-        np.power(err, -0.2, out=grow, where=np.not_equal(err, 0.0, out=work.nonzero))
+        np.power(err, -1 / 8, out=grow, where=np.not_equal(err, 0.0, out=work.nonzero))
         np.multiply(0.9, grow, out=grow)
         np.fmax(0.2, grow, out=grow)
-        np.minimum(5.0, grow, out=grow, where=ok)
+        np.minimum(10.0, grow, out=grow, where=ok)
         s.h *= grow
     return m, failures
 
@@ -392,9 +541,10 @@ def _m_values(p: Potential, z, sides, opts: SolverOptions):
     the finer value is returned and the gap between the two is the error bar.
 
     Returns (m, err) of shape (len(sides), len(z)).  The error raised is the
-    one a loop over z, then sides, then tolerances would meet first; a lane
-    whose error bar exceeds SINGULAR_ERR * (1 + |m|) raises
-    SpectralSingularity.
+    one a loop over z, then sides, then tolerances would meet first.  A pole
+    of m raises SpectralSingularity: either an error bar above
+    SINGULAR_ERR * (1 + |m|), or a lane stopped by NodeAtOrigin, since
+    u(0) = 0 is a pole of m.
     """
     z = np.asarray(z, dtype=complex)
     if not np.isfinite(z).all():
@@ -417,14 +567,15 @@ def _m_values(p: Potential, z, sides, opts: SolverOptions):
     bad = failed.any(axis=0) | (err > SINGULAR_ERR * (1.0 + np.abs(m)))
     if bad.any():
         i, s = divmod(int(np.argmax(bad.T)), len(sides))
+        reason = f"error bar {err[s, i]:.3g} exceeds {SINGULAR_ERR:g} * (1 + |m|)"
         if failed[:, s, i].any():
             tol = int(np.argmax(failed[:, s, i]))
-            raise failures[np.ravel_multi_index((tol, s, i), shape)]
+            failure = failures[np.ravel_multi_index((tol, s, i), shape)]
+            if not isinstance(failure, NodeAtOrigin):
+                raise failure
+            reason = "u(0) vanished"
         at = f"lambda={float(z[i].real)}" if z[i].imag == 0 else f"z={complex(z[i])}"
-        raise SpectralSingularity(
-            f"error bar {err[s, i]:.3g} exceeds {SINGULAR_ERR:g} * (1 + |m|) at {at} "
-            f"(side={sides[s]}); m may have a pole there"
-        )
+        raise SpectralSingularity(f"{reason} at {at} (side={sides[s]}); m may have a pole there")
     return m, err
 
 

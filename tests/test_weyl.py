@@ -22,6 +22,7 @@ from weylscatter import (
     sweep,
     truncated,
 )
+from weylscatter import weyl
 from weylscatter.weyl import _integrate, _m_halfline
 
 OPTS = SolverOptions()
@@ -237,6 +238,9 @@ def test_spectral_singularity_at_band_edge():
     # band edge, so the solves at two tolerances disagree at leading order
     with pytest.raises(SpectralSingularity, match=r"lambda=0\.0 \(side=right\)"):
         boundary_m("right", PoschlTeller(nu=1), 0.0, OPTS)
+    # -1 is the half-line Dirichlet eigenvalue of the nu=2 well: u(0) = 0
+    with pytest.raises(SpectralSingularity, match=r"lambda=-1\.0 \(side=right\)"):
+        boundary_m("right", PoschlTeller(nu=2), -1.0, OPTS)
 
 
 def test_node_at_origin_at_dirichlet_eigenvalue():
@@ -260,6 +264,65 @@ def test_node_at_origin_at_dirichlet_eigenvalue():
                 a, fa = c, fc
             else:
                 b = c
+
+
+def test_tableau_order_conditions():
+    # the kernel's coefficients, read back from the columns it multiplies:
+    # a transcription error in any of them breaks one of these identities
+    sums = np.zeros((14, 12))
+    for j, column in enumerate(weyl._COLUMNS):
+        assert np.all(column != 0)  # every column is one run of nonzero entries
+        sums[j : j + column.shape[0], j] = column[:, 0].real
+    a, b, e5, e3 = sums[:11], sums[11], sums[12], sums[13]
+    c = np.concatenate([[0.0], weyl._NODES[:, 0]])
+    assert np.unique(c[1:]).size == c.size - 1 == 11
+    np.testing.assert_allclose(a.sum(axis=1), c[1:], rtol=0, atol=1e-14)
+    for k in range(1, 9):
+        assert abs(b @ c ** (k - 1) - 1 / k) < 1e-14, k
+    assert abs(e5.sum()) < 1e-14
+    assert abs(e3.sum()) < 1e-14
+
+
+def _barrier_m(lam, height=2.0, w=0.5):
+    # the two-interface closed form of test_boundary_barrier_two_interface_oracle,
+    # continued to energies above the barrier by a complex kappa
+    k, kappa = math.sqrt(lam), cmath.sqrt(height - lam)
+    u0 = cmath.cosh(kappa * w) - 1j * (k / kappa) * cmath.sinh(kappa * w)
+    du0 = -kappa * cmath.sinh(kappa * w) + 1j * k * cmath.cosh(kappa * w)
+    return du0 / u0
+
+
+@pytest.mark.parametrize(
+    "p, closed_form",
+    [
+        (PoschlTeller(nu=1), lambda lam: 1j * (lam + 1.0) / math.sqrt(lam)),
+        (PoschlTeller(nu=2), lambda lam: 1j * math.sqrt(lam) * (lam + 4.0) / (lam + 1.0)),
+        (SquareBarrier(height=2.0, half_width=0.5), _barrier_m),
+    ],
+    ids=["pt1", "pt2", "barrier"],
+)
+def test_sweep_near_closed_forms_on_drift_grid(p, closed_form):
+    # an accuracy guard for the kernel and its tolerance scale, on the energies
+    # of tests/test_drift.py: the drift pins bound m only by its own err
+    grid = [0.23, 1.41, 2.67, 3.9, 5.15, 6.33, 7.58, 9.71]
+    m_l, m_r, _, _ = sweep(p, grid, OPTS)
+    exact = np.array([closed_form(lam) for lam in grid])
+    assert np.abs(m_l - exact).max() <= 1e-13
+    assert np.abs(m_r - exact).max() <= 1e-13
+
+
+def test_sweep_attempt_passes():
+    # a work guard: every attempt pass makes one V call on its block of
+    # nodes, the only two-dimensional argument V sees
+    class CountingWell(PoschlTeller):
+        passes = 0
+
+        def value(self, x):
+            CountingWell.passes += np.ndim(x) == 2
+            return super().value(x)
+
+    sweep(CountingWell(nu=2), np.linspace(0.1, 10, 32), OPTS)
+    assert 0 < CountingWell.passes <= 600
 
 
 class _PoisonedPotential(Zero):
