@@ -345,10 +345,11 @@ def _solve_together(config: RunConfig, *energy_sets) -> list[list[tuple[MValue, 
     """Boundary m-value pairs for each energy set, from one sweep over them all.
 
     A sweep makes as many attempt passes as its slowest lane needs, each pass
-    a fixed set of numpy calls whatever the lane count, and pays per-lane
-    arithmetic only while a lane runs, so one sweep over the concatenation is
-    cheaper than one per set, and every lane comes out as it would alone.  A
-    failure reports the first failing energy in the order the sets are given.
+    one DOP853 step of every running lane in a fixed set of numpy calls
+    whatever the lane count, and pays per-lane arithmetic only while a lane
+    runs, so one sweep over the concatenation is cheaper than one per set,
+    and every lane comes out as it would alone.  A failure reports the first
+    failing energy in the order the sets are given.
     """
     grid = np.concatenate([np.asarray(energies, dtype=float) for energies in energy_sets])
     pairs = iter(boundary_pairs(config.potential, grid, config.solver))

@@ -18,7 +18,8 @@ Values at lambda - i0 are never integrated; take conjugates.  Every value
 carries an error bar, the change of m when the ODE tolerances are halved; a
 value whose error bar exceeds SINGULAR_ERR * (1 + |m|) is refused with
 SpectralSingularity, since near a pole of m (a band edge or a Dirichlet
-eigenvalue) the two solves disagree at leading order.
+eigenvalue) the two solves disagree at leading order.  A solve that lands
+on the pole, where u(0) vanishes, is refused the same way.
 
 All solves of one call run together: a lane is one (z, side, tolerance)
 solve, and a single eighth-order Dormand-Prince kernel (DOP853) advances
@@ -44,9 +45,10 @@ from .potential import Potential, effective_support
 # exact compact support start at the support edge itself.
 SUPPORT_MARGIN = 2.0
 
-# Largest error bar accepted, relative to 1 + |m|.  Legitimate values stay
-# below about 5e-11 at the default tolerances; near a pole of m the error bar
-# is of the order of m itself.
+# Largest error bar accepted, relative to 1 + |m|.  At the default tolerances
+# legitimate values stay below about 2e-13 for lambda in [1e-4, 31.6], the
+# largest on PT nu=1 near its band edge (1.7e-11 at lambda = 1e-8); near a
+# pole of m the error bar is of the order of m itself.
 SINGULAR_ERR = 1e-8
 
 _MAX_STEPS = 2_000_000
@@ -106,12 +108,7 @@ _A = (
     (5.26001519587677318785587544488e-2,),
     (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
     (2.95875854768068491816892993775e-2, 0, 8.87627564304205475450678981324e-2),
-    (
-        2.41365134159266685502369798665e-1,
-        0,
-        -8.84549479328286085344864962717e-1,
-        9.24834003261792003115737966543e-1,
-    ),
+    (2.41365134159266685502369798665e-1, 0, -8.84549479328286085344864962717e-1, 9.24834003261792003115737966543e-1),
     (3.7037037037037037037037037037e-2, 0, 0, 1.70828608729473871279604482173e-1, 1.25467687566822425016691814123e-1),
     (
         3.7109375e-2,
@@ -636,7 +633,8 @@ def boundary_m(side: str, p: Potential, lam: float, opts: SolverOptions | None =
     """Boundary value m(lambda + i0), integrated at real energy.
 
     The error estimate is the change of m when the ODE tolerances are halved;
-    an estimate above SINGULAR_ERR * (1 + |m|) raises SpectralSingularity.
+    an estimate above SINGULAR_ERR * (1 + |m|), or a vanishing u(0), raises
+    SpectralSingularity.
     """
     opts = opts or SolverOptions()
     lam = float(lam)

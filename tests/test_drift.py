@@ -6,20 +6,25 @@ fields must match exactly.  The CSVs under tests/data/drift/ come from two
 trees:
 
 * barrier_* and sampled_*: the scalar-loop solver of commit c2c11ad;
-* pt2_* and gaussian_*: the commit that made real-energy integration the
-  only boundary-value path (child of efb5e4b).  The earlier references came
-  from the eps-ladder, whose `err` understated its own error: at lambda=9.71
-  the ladder's PT nu=2 m missed the closed form by 3.4e-13 against an `err`
-  of 7.3e-14, and the direct value is nearer the closed form at every energy;
+* pt2_reflect and gaussian_reflect: the commit that made real-energy
+  integration the only boundary-value path (child of efb5e4b).  The earlier
+  references came from the eps-ladder, whose `err` understated its own
+  error: at lambda=9.71 the ladder's PT nu=2 m missed the closed form by
+  3.4e-13 against an `err` of 7.3e-14, and the direct value is nearer the
+  closed form at every energy;
+* pt2_mfunction, pt2_scatter, gaussian_mfunction and gaussian_scatter:
+  commit 8c67693, the first tree whose m-solver takes DOP853 steps.  The
+  DP5 values before them lay up to 1.8e-11 (PT nu=2) and 2.4e-12 (Gaussian)
+  from the new ones, beyond the new `err`; every new `err` is below the old
+  one, and every PT nu=2 m is nearer the closed form;
 * *_wavepacket*: commit 7bad95d, the last tree whose split-step kernel ran
   one unsplit numpy FFT per transform.  `t_stop` must match exactly;
-* *_verify: commit b3d8728, the last tree that solved verify's energies in
-  three sweeps, read the `lattice_rank_one` residual off a full SVD and
-  composed the transfer oracle interface by interface in plane waves.
-  Every row must match byte for byte except two.  `lattice_rank_one` now
-  reports an upper bound on sv2/sv1: its residual may only grow, and must
-  still pass.  The `spectral_vs_oracle` residual may move by ORACLE_DRIFT,
-  every other field of that row staying byte-exact.
+* *_verify: commit 8c67693, the first tree whose m-solver takes DOP853
+  steps.  Every row must match byte for byte except two, which the earlier
+  references (commit b3d8728) needed: `lattice_rank_one` reports an upper
+  bound on sv2/sv1, so its residual may only grow, and must still pass; the
+  `spectral_vs_oracle` residual may move by ORACLE_DRIFT, every other field
+  of that row staying byte-exact.
 
 Regenerate the references of some potentials or commands from a checkout of
 a commit with
@@ -124,8 +129,8 @@ def test_verify_matches_reference(name, tmp_path):
             continue
         ref_row, cur_row = (_rows(f"{reference[0]}\n{line}\n")[0] for line in (ref, cur))
         if ref_row["check"] == "spectral_vs_oracle":
-            # the (u, u') slab product rounds differently from the reference's
-            # plane-wave interface loop; the measured drift is at most 8.9e-16
+            # the (u, u') slab product rounds differently from the plane-wave
+            # interface loop of earlier references, by at most 8.9e-16
             for field in ("check", "detail", "tolerance", "status"):
                 assert cur_row[field] == ref_row[field], field
             assert abs(float(cur_row["residual"]) - float(ref_row["residual"])) <= ORACLE_DRIFT

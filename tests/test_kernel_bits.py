@@ -1,4 +1,4 @@
-"""Bit-exact pin of the lockstep DP5 kernel.
+"""Bit-exact pin of the lockstep DOP853 kernel.
 
 tests/data/kernel_bits.json holds, as float.hex, the real and imaginary parts
 of m and the error bar that `weyl._m_values` returns for six potentials at six
@@ -7,8 +7,8 @@ batch in which some lanes fail: each survivor's m and each failure's type at
 its input index.  The kernel must reproduce every bit, so any change to the
 order of a Butcher sum, a cast or the step control shows here.
 
-The file comes from commit 1aabc7c, the last tree whose attempt pass wrote
-each stage input as one expression over the tableau row.  Regenerate it from
+The file comes from commit 8c67693, the first tree whose kernel takes DOP853
+steps; the DP5 bits it replaced came from commit 1aabc7c.  Regenerate it from
 a checkout of a commit with
 
     tree=$(mktemp -d) && git archive <commit> | tar -x -C "$tree" \\

@@ -22,8 +22,7 @@ from weylscatter import (
     sweep,
     truncated,
 )
-from weylscatter import weyl
-from weylscatter.weyl import _integrate, _m_halfline
+from weylscatter.weyl import _COLUMNS, _NODES, _integrate, _m_halfline
 
 OPTS = SolverOptions()
 
@@ -270,17 +269,19 @@ def test_tableau_order_conditions():
     # the kernel's coefficients, read back from the columns it multiplies:
     # a transcription error in any of them breaks one of these identities
     sums = np.zeros((14, 12))
-    for j, column in enumerate(weyl._COLUMNS):
+    for j, column in enumerate(_COLUMNS):
         assert np.all(column != 0)  # every column is one run of nonzero entries
         sums[j : j + column.shape[0], j] = column[:, 0].real
     a, b, e5, e3 = sums[:11], sums[11], sums[12], sums[13]
-    c = np.concatenate([[0.0], weyl._NODES[:, 0]])
+    c = np.concatenate([[0.0], _NODES[:, 0]])
     assert np.unique(c[1:]).size == c.size - 1 == 11
+    # each bound is a few ulps of the largest coefficient in its sums (43 in a
+    # row of A, 5.8 in b, 1.7 in the error weights)
     np.testing.assert_allclose(a.sum(axis=1), c[1:], rtol=0, atol=1e-14)
     for k in range(1, 9):
-        assert abs(b @ c ** (k - 1) - 1 / k) < 1e-14, k
-    assert abs(e5.sum()) < 1e-14
-    assert abs(e3.sum()) < 1e-14
+        assert abs(b @ c ** (k - 1) - 1 / k) < 4e-15, k
+    assert abs(e5.sum()) < 2e-15
+    assert abs(e3.sum()) < 2e-15
 
 
 def _barrier_m(lam, height=2.0, w=0.5):
