@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,27 @@ from weylscatter import (
     truncated,
 )
 from weylscatter import lattice
-from weylscatter.lattice import _hamiltonian
+
+
+def _hamiltonian(
+    model: LatticeModel, nodes: slice = slice(None), z: complex | None = None
+) -> np.ndarray:
+    """Dense reference: H on a run of nodes, Dirichlet outside them; H - z when z is given.
+
+    z is taken off the diagonal before the matrix is filled, so H - z has the
+    bits of H.astype(complex) - z * eye.
+    """
+    inv_h2 = 1.0 / model.h**2
+    diag = 2.0 * inv_h2 + model.v[nodes]
+    if z is not None:
+        diag = diag - z
+    size = len(diag)
+    ham = np.zeros((size, size), dtype=diag.dtype)
+    np.fill_diagonal(ham, diag)
+    idx = np.arange(size - 1)
+    ham[idx, idx + 1] = -inv_h2
+    ham[idx + 1, idx] = -inv_h2
+    return ham
 
 
 def _continuum_g00(p, lam):
@@ -68,8 +89,8 @@ def test_decoupling_exact_zero_blocks():
 
 @pytest.mark.parametrize("z", [2 + 1j, -0.5 + 1.5j, -1.0])
 def test_shifted_hamiltonian_bits(z):
-    # H - z and the decoupled blocks, built with z off the diagonal, hold the
-    # bits of the dense expressions they replace, so LAPACK sees the same input
+    # the dense reference H - z and its decoupled blocks, built with z off the
+    # diagonal, hold the bits of the dense expressions they stand for
     b = SquareBarrier(height=2.0, half_width=0.5)
     model = lattice_model_from_potential(b, 40, 0.05, z)
     size, mid = 2 * model.n + 1, model.n
@@ -125,13 +146,14 @@ def _verify_models(p, seed, count=3, z_cont=False):
 
 
 def _exact_sv_ratio(model):
-    """sv2/sv1 of the resolvent difference, from a full SVD.
+    """sv2/sv1 of the check's own resolvent difference, from a full SVD.
 
-    Looks the decoupled resolvent up as the check does, so a patch reaches both.
+    Takes both resolvents from the module, the decoupled one looked up as the
+    check does, so a patch reaches both; a LAPACK inverse in place of the
+    full one would measure how far two inverses disagree, near 1e-14.
     """
-    size = 2 * model.n + 1
-    resolvent = np.linalg.inv(_hamiltonian(model) - model.z * np.eye(size))
-    svals = np.linalg.svd(resolvent - lattice.decoupled_resolvent(model), compute_uv=False)
+    diff = lattice._resolvent(model) - lattice.decoupled_resolvent(model)
+    svals = np.linalg.svd(diff, compute_uv=False)
     return float(svals[1] / svals[0])
 
 
@@ -156,6 +178,67 @@ def test_rank_two_difference_fails_the_bound(name, monkeypatch):
     for model in _verify_models(RANK_ONE_POTENTIALS[name], seed=32):
         report = resolvent_difference_check(model)
         assert 1e-10 < _exact_sv_ratio(model) <= report.sv_ratio, model.z
+
+
+def _elimination_models():
+    for name in sorted(RANK_ONE_POTENTIALS):
+        yield from _verify_models(RANK_ONE_POTENTIALS[name], seed=34, z_cont=True)
+    yield from _random_models(35)
+
+
+def _assert_inverts(inverse, dense):
+    size = len(dense)
+    reference = np.linalg.inv(dense)
+    assert np.abs(inverse - reference).max() <= 1e-12 * np.abs(reference).max()
+    assert np.abs(dense @ inverse - np.eye(size)).max() <= 1e-12
+
+
+def test_elimination_matches_dense_inverse():
+    # the full resolvent and both Dirichlet half-line blocks, against LAPACK
+    # inverses of the dense matrices, at complex z and verify's real z_cont
+    for model in _elimination_models():
+        mid = model.n
+        _assert_inverts(lattice._resolvent(model), _hamiltonian(model, z=model.z))
+        decoupled = decoupled_resolvent(model)
+        for nodes in (slice(None, mid), slice(mid + 1, None)):
+            _assert_inverts(decoupled[nodes, nodes], _hamiltonian(model, nodes, model.z))
+
+
+def test_pivot_bounds():
+    # Im z > 0: Im u_i <= -Im z;  real z < min v: u_i >= 1/h^2 + v_i - z > 0
+    rng = np.random.default_rng(36)
+    for model in _random_models(37):
+        z_real = float(model.v.min()) - rng.uniform(0.01, 3.0)
+        for z in (model.z, complex(z_real)):
+            shifted = dataclasses.replace(model, z=z)
+            diag = lattice._shifted_diagonal(shifted)
+            pivots = np.array(lattice._pivots(diag, -1.0 / model.h**2))
+            if z.imag > 0:
+                assert np.all(pivots.imag <= -z.imag)
+            else:
+                assert np.all(pivots.imag == 0.0)
+                floor = 1.0 / model.h**2 + model.v - z.real
+                assert np.all(pivots.real >= floor) and np.all(floor > 0.0)
+
+
+def test_non_finite_pivot_is_singular():
+    v = np.zeros(21)
+    v[3] = np.inf
+    model = LatticeModel(n=10, h=0.1, v=v, z=1j)
+    with pytest.raises(SingularResolvent):
+        decoupled_resolvent(model)
+    with pytest.raises(SingularResolvent):
+        resolvent_difference_check(model)
+
+
+def test_check_makes_no_dense_linear_algebra(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the lattice check called numpy.linalg")
+
+    for name in ("inv", "solve", "svd", "eig", "eigh", "eigvals", "eigvalsh", "lstsq", "cond"):
+        monkeypatch.setattr(np.linalg, name, refused)
+    for model in _verify_models(RANK_ONE_POTENTIALS["barrier"], seed=38, count=1, z_cont=True):
+        assert resolvent_difference_check(model).sv_ratio <= 1e-10
 
 
 def test_mesh_convergence_second_order():
