@@ -5,10 +5,11 @@ Invocation:
     weyl-scatter <command> --config run.json [--out path] [--format csv|json] [--seed N]
 
 Commands: mfunction, scatter, reflect, wavepacket, verify, scan.  Exit status
-0 on success, 2 on validation/configuration errors, 3 on numerical failures
-propagated from the computation modules.  CSV output uses a mandatory header
-row and 17 significant digits so doubles round-trip losslessly; identical
-config and seed produce byte-identical artifacts.
+0 on success, 2 on validation/configuration errors and on an output or trace
+path that cannot be written, 3 on numerical failures propagated from the
+computation modules.  CSV output uses a mandatory header row and 17
+significant digits so doubles round-trip losslessly; identical config and
+seed produce byte-identical artifacts.
 """
 from __future__ import annotations
 
@@ -126,6 +127,18 @@ def _reject_unknown(where: str, fields: dict, known: tuple[str, ...]) -> None:
         raise ConfigParseError(f"unknown {where} fields: {', '.join(unknown)}")
 
 
+def _check_path(name: str, path) -> None:
+    if path is not None and not isinstance(path, str):
+        raise ConfigParseError(f"{name} must be a string, got {path!r}")
+
+
+def _write_artifact(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigParseError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def load_config(
     path: str | Path,
     command: str | None = None,
@@ -162,6 +175,7 @@ def load_config(
     if not isinstance(output, dict):
         raise ConfigParseError("'output' must be an object with path/format fields")
     _reject_unknown("output", output, OUTPUT_FIELDS)
+    _check_path("output path", output.get("path"))
     out_format = fmt or output.get("format", "csv")
     if out_format not in ("csv", "json"):
         raise ConfigParseError(f"output format must be csv or json, got {out_format!r}")
@@ -301,6 +315,7 @@ def auto_packet(p: Potential, overrides: dict) -> tuple[PacketSpec, int, str | N
 
     trace_stride = number("trace_stride", 0, integral)
     trace_path = overrides.pop("trace_path", None)
+    _check_path("packet field trace_path", trace_path)
     k0 = positive("k0", number("k0", 1.5))
     sigma = positive("sigma_x", number("sigma_x", max(6.0, 4.0 / k0)))
     support = effective_support(p, 1e-12)
@@ -376,7 +391,7 @@ def _cmd_wavepacket(config: RunConfig):
             {"t": t, "left_mass": lm, "right_mass": rm, "interaction_mass": im}
             for (t, lm, rm, im) in result.trace
         ]
-        Path(trace_path).write_text(render_csv(trace_fields, trace_rows))
+        _write_artifact(trace_path, render_csv(trace_fields, trace_rows))
     return fields, rows
 
 
@@ -498,20 +513,20 @@ def run(config: RunConfig) -> int:
     """Execute one configured command; returns the process exit status."""
     try:
         fields, rows = _COMMANDS[config.command](config)
+        if config.output_format == "json":
+            payload = render_json(fields, rows)
+        else:
+            payload = render_csv(fields, rows)
+        if config.output_path:
+            _write_artifact(config.output_path, payload)
+        else:
+            sys.stdout.write(payload)
     except ValidationError as exc:
         print(f"{config.command}: validation error: {exc}", file=sys.stderr)
         return 2
     except WeylScatterError as exc:
         print(f"{config.command}: numerical failure in {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    if config.output_format == "json":
-        payload = render_json(fields, rows)
-    else:
-        payload = render_csv(fields, rows)
-    if config.output_path:
-        Path(config.output_path).write_text(payload)
-    else:
-        sys.stdout.write(payload)
     return 0
 
 

@@ -36,17 +36,16 @@ domain of LatticeModel none of them can vanish:
 * real z < min(v): by induction u_{i-1} > 1/h^2, so e^2 / u_{i-1} < 1/h^2,
   and every pivot satisfies u_i >= 1/h^2 + v_i - z > 0.
 
-The forward sweep L Y = I leaves Y unit lower triangular, so the back sweep
-U X = Y needs no entry of Y on and above the diagonal but the unit one:
-row i of the upper triangle is X[i, i+1:] = -(e / u_i) X[i+1, i+1:], then
-X[i, i] = (1 - e X[i, i+1]) / u_i, and X is complex symmetric, so each row
-is also written into its column.  Each step is one row operation, vectorized
-along the row.  Error analysis of elimination on tridiagonal matrices:
+The forward sweep L Y = I leaves Y unit lower triangular: on and above the
+diagonal Y is the identity, so the back sweep U X = Y over the upper
+triangle reads nothing else of Y.  Row i of that triangle is
+X[i, i+1:] = -(e / u_i) X[i+1, i+1:], then X[i, i] = (1 - e X[i, i+1]) / u_i,
+and X is complex symmetric, so each row is also written into its column.
+Each step is one row operation, vectorized along the row.  Error analysis of elimination on tridiagonal matrices:
 Higham, SIAM J. Matrix Anal. Appl. 11 (1990) 521-530.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -110,9 +109,10 @@ def lattice_model_from_potential(p: Potential, n: int, h: float, z: complex) -> 
     return LatticeModel(n=n, h=h, v=np.asarray(p.value(grid), dtype=float), z=z)
 
 
-def _shifted_diagonal(model: LatticeModel, nodes: slice = slice(None)) -> np.ndarray:
-    """Diagonal of H - z on a run of nodes, Dirichlet outside them."""
-    return 2.0 / model.h**2 + model.v[nodes] - model.z
+def _tridiagonal(model: LatticeModel) -> tuple[np.ndarray, float]:
+    """Diagonal and off-diagonal of H - z."""
+    inv_h2 = 1.0 / model.h**2
+    return 2.0 * inv_h2 + model.v - model.z, -inv_h2
 
 
 def _pivots(diag: np.ndarray, off: float) -> list[complex]:
@@ -122,7 +122,7 @@ def _pivots(diag: np.ndarray, off: float) -> list[complex]:
     pivots = [first]
     for d in rest:
         pivots.append(d - off2 / pivots[-1])
-    if not all(map(cmath.isfinite, pivots)):
+    if not np.isfinite(pivots).all():
         raise SingularResolvent("non-finite pivot in the tridiagonal elimination")
     return pivots
 
@@ -142,7 +142,7 @@ def _resolvent(model: LatticeModel) -> np.ndarray:
     """(H - z)^-1 on the full grid."""
     size = 2 * model.n + 1
     out = np.empty((size, size), dtype=complex)
-    _invert_into(out, _shifted_diagonal(model), -1.0 / model.h**2)
+    _invert_into(out, *_tridiagonal(model))
     return out
 
 
@@ -150,17 +150,17 @@ def decoupled_resolvent(model: LatticeModel) -> np.ndarray:
     """(H_inf - z)^-1 embedded in the full grid: block inverses, zero origin row/column."""
     size = 2 * model.n + 1
     mid = model.n
-    off = -1.0 / model.h**2
+    diag, off = _tridiagonal(model)
     out = np.zeros((size, size), dtype=complex)
-    _invert_into(out[:mid, :mid], _shifted_diagonal(model, slice(None, mid)), off)
-    _invert_into(out[mid + 1 :, mid + 1 :], _shifted_diagonal(model, slice(mid + 1, None)), off)
+    for block in (slice(None, mid), slice(mid + 1, None)):
+        _invert_into(out[block, block], diag[block], off)
     return out
 
 
 def resolvent_difference_check(
     model: LatticeModel, g00_continuum: complex | None = None
 ) -> RankOneReport:
-    """Verify the rank-one identity on the model from two tridiagonal eliminations.
+    """Verify the rank-one identity on the model, inverting by tridiagonal elimination.
 
     When the continuum diagonal Green function -1/(m_l + m_r) at the same z
     is supplied, the report also gives its gap to the discrete G00 (expected
@@ -175,13 +175,14 @@ def resolvent_difference_check(
         raise SingularResolvent(f"resolvent solve condition bound {condition:.3e}")
     resolvent = _resolvent(model)
     # D is formed, and then reduced to its rank-one residual, in the buffer of
-    # the decoupled resolvent: no further (2N+1)^2 temporaries
+    # the decoupled resolvent, and g g^T in that of the resolvent, which is
+    # read no more: no further (2N+1)^2 arrays
     diff = decoupled_resolvent(model)
     np.subtract(resolvent, diff, out=diff)
 
     g = resolvent[:, mid] / math.sqrt(model.h)
     g00 = resolvent[mid, mid] / model.h
-    outer = np.outer(g, g)
+    outer = np.outer(g, g, out=resolvent)
     coeff = complex(np.vdot(outer, diff) / np.vdot(outer, outer))
     coeff_resid = float(abs(coeff - 1.0 / g00))
     entry_resid = float(abs(diff[mid, mid] - g[mid] ** 2 / g00))

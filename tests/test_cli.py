@@ -118,22 +118,55 @@ def test_wavepacket_free(tmp_path):
     assert float(rows[0]["norm_drift"]) <= 1e-8
 
 
+FREE_PACKET = {"k0": 2.0, "sigma_x": 4.0, "x0": -40.0, "half_length": 140.0,
+               "n_points": 1024, "dt": 0.01, "t_max": 100.0, "trace_stride": 1}
+
+
 def test_wavepacket_trace_file(tmp_path):
     trace = tmp_path / "trace.csv"
     cfg = write_config(
         tmp_path,
         "wp.json",
-        {
-            "potential": {"kind": "zero"},
-            "packet": {"k0": 2.0, "sigma_x": 4.0, "x0": -40.0, "half_length": 140.0,
-                       "n_points": 1024, "dt": 0.01, "t_max": 100.0,
-                       "trace_stride": 1, "trace_path": str(trace)},
-        },
+        {"potential": {"kind": "zero"}, "packet": dict(FREE_PACKET, trace_path=str(trace))},
     )
     assert main(["wavepacket", "--config", str(cfg), "--out", str(tmp_path / "wp.csv")]) == 0
     header, rows = parse_csv(trace)
     assert header == ["t", "left_mass", "right_mass", "interaction_mass"]
     assert len(rows) >= 2
+
+
+@pytest.mark.parametrize(
+    "out, trace_path, output, expected",
+    [
+        ("missing/x.csv", "trace.csv", {}, "cannot write {tmp}/missing/x.csv"),
+        (".", "trace.csv", {}, "cannot write {tmp}:"),
+        ("out.csv", "missing/x.csv", {}, "cannot write {tmp}/missing/x.csv"),
+        ("out.csv", 5, {}, "trace_path must be a string, got 5"),
+        (None, "trace.csv", {"path": 5}, "output path must be a string, got 5"),
+    ],
+    ids=["out-missing-dir", "out-directory", "trace-missing-dir", "trace-not-str", "out-not-str"],
+)
+def test_unwritable_output_exits_2(out, trace_path, output, expected, tmp_path, capsys, monkeypatch):
+    # each used to end in a traceback and exit 1, the first three after the
+    # whole computation; a path that is not a string is refused before any solve
+    if isinstance(trace_path, str):
+        trace_path = str(tmp_path / trace_path)
+    else:
+        def refused(*args, **kwargs):
+            raise AssertionError("solved before the trace path was checked")
+
+        monkeypatch.setattr("weylscatter.cli.boundary_pairs", refused)
+    packet = dict(FREE_PACKET, trace_path=trace_path)
+    cfg = write_config(
+        tmp_path, "wp.json", {"potential": {"kind": "zero"}, "packet": packet, "output": output}
+    )
+    argv = ["wavepacket", "--config", str(cfg)]
+    if out is not None:
+        argv += ["--out", str(tmp_path / out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and expected.format(tmp=tmp_path) in err, err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_verify_truncated_poschl_teller(tmp_path):

@@ -19,12 +19,14 @@ trees:
   one, and every PT nu=2 m is nearer the closed form;
 * *_wavepacket*: commit 7bad95d, the last tree whose split-step kernel ran
   one unsplit numpy FFT per transform.  `t_stop` must match exactly;
-* *_verify: commit 8c67693, the first tree whose m-solver takes DOP853
-  steps.  Every row must match byte for byte except two, which the earlier
-  references (commit b3d8728) needed: `lattice_rank_one` reports an upper
-  bound on sv2/sv1, so its residual may only grow, and must still pass; the
-  `spectral_vs_oracle` residual may move by ORACLE_DRIFT, every other field
-  of that row staying byte-exact.
+* *_verify: commit 720d34a, the first tree whose lattice check inverts
+  H - z by tridiagonal elimination.  The references before them, from
+  commit 8c67693, differ only in the three `lattice_*` rows, by at most
+  3.0e-14.  Every row must match byte for byte except two, which the
+  earlier references (commit b3d8728) needed: `lattice_rank_one` reports an
+  upper bound on sv2/sv1, so its residual may only grow, and must still
+  pass; the `spectral_vs_oracle` residual may move by ORACLE_DRIFT, every
+  other field of that row staying byte-exact.
 
 Regenerate the references of some potentials or commands from a checkout of
 a commit with

@@ -211,8 +211,7 @@ def test_pivot_bounds():
         z_real = float(model.v.min()) - rng.uniform(0.01, 3.0)
         for z in (model.z, complex(z_real)):
             shifted = dataclasses.replace(model, z=z)
-            diag = lattice._shifted_diagonal(shifted)
-            pivots = np.array(lattice._pivots(diag, -1.0 / model.h**2))
+            pivots = np.array(lattice._pivots(*lattice._tridiagonal(shifted)))
             if z.imag > 0:
                 assert np.all(pivots.imag <= -z.imag)
             else:
