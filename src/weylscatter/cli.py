@@ -132,6 +132,17 @@ def _check_path(name: str, path) -> None:
         raise ConfigParseError(f"{name} must be a string, got {path!r}")
 
 
+def _check_writable(path: str | None) -> None:
+    """Refuse an output path whose file cannot be created, before any computation runs."""
+    if not path:
+        return
+    target = Path(path)
+    if target.is_dir():
+        raise ConfigParseError(f"cannot write {path}: it is a directory")
+    if not target.parent.is_dir():
+        raise ConfigParseError(f"cannot write {path}: no directory {target.parent}")
+
+
 def _write_artifact(path: str, text: str) -> None:
     try:
         Path(path).write_text(text)
@@ -176,6 +187,7 @@ def load_config(
         raise ConfigParseError("'output' must be an object with path/format fields")
     _reject_unknown("output", output, OUTPUT_FIELDS)
     _check_path("output path", output.get("path"))
+    _check_writable(out or output.get("path"))
     out_format = fmt or output.get("format", "csv")
     if out_format not in ("csv", "json"):
         raise ConfigParseError(f"output format must be csv or json, got {out_format!r}")
@@ -316,6 +328,7 @@ def auto_packet(p: Potential, overrides: dict) -> tuple[PacketSpec, int, str | N
     trace_stride = number("trace_stride", 0, integral)
     trace_path = overrides.pop("trace_path", None)
     _check_path("packet field trace_path", trace_path)
+    _check_writable(trace_path)
     k0 = positive("k0", number("k0", 1.5))
     sigma = positive("sigma_x", number("sigma_x", max(6.0, 4.0 / k0)))
     support = effective_support(p, 1e-12)
@@ -361,10 +374,11 @@ def _solve_together(config: RunConfig, *energy_sets) -> list[list[tuple[MValue, 
 
     A sweep makes as many attempt passes as its slowest lane needs, each pass
     one DOP853 step of every running lane in a fixed set of numpy calls
-    whatever the lane count, and pays per-lane arithmetic only while a lane
-    runs, so one sweep over the concatenation is cheaper than one per set,
-    and every lane comes out as it would alone.  A failure reports the first
-    failing energy in the order the sets are given.
+    whatever the lane count, and pays per-lane arithmetic while a lane runs
+    and, parked, until half its batch is done, so one sweep over the
+    concatenation is cheaper than one per set, and every lane comes out as
+    it would alone.  A failure reports the first failing energy in the order
+    the sets are given.
     """
     grid = np.concatenate([np.asarray(energies, dtype=float) for energies in energy_sets])
     pairs = iter(boundary_pairs(config.potential, grid, config.solver))
@@ -412,6 +426,9 @@ def _cmd_verify(config: RunConfig):
     tails) and the real energy z_cont of the continuum G00, solved in that
     order.
     """
+    for name in ("trace_path", "trace_stride"):
+        if name in config.packet:
+            raise ConfigParseError(f"packet field {name} is for wavepacket; verify writes no packet trace")
     p = config.potential
     grid = config.lambda_grid
     zero_tails = p.tail_value("left") == 0.0 and p.tail_value("right") == 0.0

@@ -40,6 +40,17 @@ class Potential:
 
     # True when V equals its tails exactly outside tolerance_radius(tol), for every tol
     exact_support = True
+    # True when value(-x) equals value(x) bit for bit and breakpoints() and
+    # the tails are symmetric about the origin; then both half-line
+    # m-functions coincide
+    mirror_symmetric = False
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the flag speaks for value and breakpoints: a subclass that restates
+        # either without restating the flag is not known to be symmetric
+        if {"value", "breakpoints"} & vars(cls).keys() and "mirror_symmetric" not in vars(cls):
+            cls.mirror_symmetric = False
 
     def __post_init__(self):
         for f in fields(self):
@@ -166,6 +177,8 @@ def _check_side(side: str) -> None:
 class Zero(Potential):
     """The free line, V = 0."""
 
+    mirror_symmetric = True
+
     def value(self, x):
         return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
 
@@ -200,6 +213,10 @@ class SquareBarrier(Potential):
     def lower_bound(self):
         return min(0.0, self.height)
 
+    @property
+    def mirror_symmetric(self):
+        return self.center == 0
+
     def tolerance_radius(self, tol):
         if abs(self.height) <= tol:
             return 0.0
@@ -215,6 +232,7 @@ class PoschlTeller(Potential):
 
     nu: int
     exact_support = False
+    mirror_symmetric = True
 
     def __post_init__(self):
         super().__post_init__()
@@ -257,6 +275,10 @@ class GaussianBump(Potential):
     @property
     def exact_support(self):
         return self.amplitude == 0
+
+    @property
+    def mirror_symmetric(self):
+        return self.center == 0
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -302,7 +324,11 @@ class Step(Potential):
 
 @dataclass(frozen=True, eq=False)
 class Sampled(Potential):
-    """Linear interpolation through (xs, vs) nodes, constant tails outside."""
+    """Linear interpolation through (xs, vs) nodes, constant tails outside.
+
+    Not mirror_symmetric even for a symmetric table: np.interp does not give
+    value(-x) == value(x) bit for bit.
+    """
 
     xs: np.ndarray
     vs: np.ndarray
@@ -362,6 +388,10 @@ class Truncated(Potential):
     @property
     def lower_bound(self):
         return min(0.0, self.inner.lower_bound)
+
+    @property
+    def mirror_symmetric(self):
+        return self.inner.mirror_symmetric
 
     def tolerance_radius(self, tol):
         return min(self.radius, self.inner.tolerance_radius(tol))

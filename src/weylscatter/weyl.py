@@ -23,12 +23,16 @@ on the pole, where u(0) vanishes, is refused the same way.
 
 All solves of one call run together: a lane is one (z, side, tolerance)
 solve, and a single eighth-order Dormand-Prince kernel (DOP853) advances
-every running lane in lockstep over numpy arrays; a lane leaves the arrays
-when it finishes or fails.  `sweep` batches a whole energy grid this way.  A
-batch takes as many attempt passes as its slowest lane needs, and each pass
-makes a fixed number of numpy calls whatever the lane count: the Butcher
-tableau is summed by column into reused work arrays, each sum adding its
-terms in tableau order.
+every running lane in lockstep over numpy arrays.  A lane that finishes is
+parked in place with a zero step, and the parked lanes are gathered out once
+at most half the lanes run; a lane that fails is gathered out at once.  When
+V(-x) = V(x) (`Potential.mirror_symmetric`), x -> -x maps one half-line
+problem onto the other and m_left = m_right bit for bit, so only one side
+is integrated.  `sweep` batches a whole energy grid this way.  A batch takes
+as many attempt passes as its slowest lane needs, and each pass makes a
+fixed number of numpy calls whatever the lane count: the Butcher tableau is
+summed by column into reused work arrays, each sum adding its terms in
+tableau order.
 """
 from __future__ import annotations
 
@@ -250,7 +254,7 @@ _COLUMNS = _tableau_columns()
 
 
 class _Lanes:
-    """Per-lane arrays of the lanes still running, one entry per lane on the last axis."""
+    """Per-lane arrays of the batch's lanes, running or parked, one entry per lane on the last axis."""
 
     def __init__(self, **arrays):
         self.__dict__.update(arrays)
@@ -269,9 +273,9 @@ class _Scratch:
     """Work arrays of the attempt passes of one batch, allocated once for its first width.
 
     Every pass writes them through out=, so a pass allocates nothing but V's
-    values.  When lanes leave, fit() views the first arrays at the new lane
-    count, so the batch allocates no more.  Like the lane state, stages[j]
-    holds stage j + 2's input (u, u') in rows 0-1 and its slope
+    values.  When lanes are gathered out, fit() views the first arrays at the
+    new lane count, so the batch allocates no more.  Like the lane state,
+    stages[j] holds stage j + 2's input (u, u') in rows 0-1 and its slope
     (u', (V - z) u) in rows 1-2; stages[11] is y_new and the slope there, the
     state after an accepted step.
     """
@@ -292,7 +296,7 @@ class _Scratch:
         return self._store[name][:size].reshape(shape)
 
     def fit(self, z) -> None:
-        """Lay the work arrays out for the running lanes, whose z are given."""
+        """Lay the work arrays out for the batch's lanes, whose z are given."""
         n = z.size
         self.n = n
         array = self._array
@@ -353,10 +357,14 @@ def _integrate(p: Potential, z, right, rtol, atol, opts: SolverOptions):
     tolerances.  Every lane integrates (u, u') from outside the support to the
     origin with its own position, step size, segment, FSAL slope, counters
     and renormalization cadence, so its result does not depend on the other
-    lanes; only the arithmetic is shared, over numpy arrays.  The arrays hold
-    the running lanes only: a lane that reaches the origin or fails is
-    gathered out, so every attempt pass advances every lane it holds.
-    Scaling the pair (u, u') is harmless: only the ratio u'/u is used.
+    lanes; only the arithmetic is shared, over numpy arrays.  A lane that
+    reaches the origin, or stops there on NodeAtOrigin, is parked in place:
+    its step and step floor become zero, so a pass leaves it where it is, and
+    its target infinity, so it never counts as done again.  Parked lanes are
+    gathered out (_Lanes.keep, then _Scratch.fit) once at most half the
+    lanes are live, so a batch lays out its arrays a few times rather than
+    once per finishing lane; a lane whose step underflows is gathered out at
+    once.  Scaling the pair (u, u') is harmless: only the ratio u'/u is used.
 
     Each attempt is one DOP853 step: twelve stages at eleven distinct nodes,
     so V is called once per pass on an (11, lanes) block, and Hairer's error
@@ -365,10 +373,10 @@ def _integrate(p: Potential, z, right, rtol, atol, opts: SolverOptions):
     their given tolerances.  A batch takes as many attempt passes as its
     slowest lane needs, and a pass makes the same 102 numpy calls (plus V's)
     whatever the lane count, so a batch costs about (passes of its slowest
-    lane) x (cost of one pass).  The tableau is summed by column (_COLUMNS),
-    a multiply and an add per slope, each sum adding its terms in tableau
-    order, and every call writes into work arrays (_Scratch) allocated once
-    per batch.
+    lane) x (cost of one pass), parked lanes riding along until gathered
+    out.  The tableau is summed by column (_COLUMNS), a multiply and an add
+    per slope, each sum adding its terms in tableau order, and every call
+    writes into work arrays (_Scratch) allocated once per batch.
 
     Returns the m-values (NaN where a lane failed) and, per lane, None or
     the typed error that stopped it.
@@ -417,9 +425,10 @@ def _integrate(p: Potential, z, right, rtol, atol, opts: SolverOptions):
         direction=np.zeros(n),
         floor=np.zeros(n),  # smallest step allowed in the current segment
         accepted=np.zeros(n, dtype=int),
+        live=np.ones(n, dtype=bool),  # False once parked
     )
     m = np.full(n, complex(np.nan, np.nan))
-    attempts = 0  # attempt passes so far; every running lane took part in each
+    attempts = 0  # attempt passes so far; every live lane took part in each
     work = _Scratch(n)
 
     def fail(at, error, message):
@@ -444,8 +453,15 @@ def _integrate(p: Potential, z, right, rtol, atol, opts: SolverOptions):
                 good = ~node
                 m[s.lane[at[good]]] = s.sign[at[good]] * (du[good] / u[good])
                 fail(at[node], NodeAtOrigin, "u(0) underflowed")
-                s.keep(~end)
-                done = done[~end]
+                s.h[at] = 0.0
+                s.floor[at] = 0.0
+                s.target[at] = np.inf
+                s.live[at] = False
+                done &= ~end
+                if 2 * np.count_nonzero(s.live) <= s.lane.size:
+                    live = s.live
+                    s.keep(live)
+                    done = done[live]
             enter = np.flatnonzero(done)
             if enter.size:
                 x_in = s.x[enter]
@@ -465,7 +481,7 @@ def _integrate(p: Potential, z, right, rtol, atol, opts: SolverOptions):
         if under.any():
             message = "step size underflow while meeting tolerances"
             fail(np.flatnonzero(under), OdeStepFailure, message)
-            s.keep(~under)
+            s.keep(~under & s.live)
             continue  # recomputing gap and h leaves the survivors' values as they are
 
         hh, hc, y = work.hh, work.hc, s.yk[:2]
@@ -505,7 +521,7 @@ def _integrate(p: Potential, z, right, rtol, atol, opts: SolverOptions):
 
         attempts += 1
         if attempts >= _MAX_STEPS:
-            fail(range(s.lane.size), OdeStepFailure, "step budget exhausted")
+            fail(np.flatnonzero(s.live), OdeStepFailure, "step budget exhausted")
             break
         ok = np.less_equal(err, 1.0, out=work.ok)
         np.add(s.x, hh, out=s.x, where=ok)
@@ -536,6 +552,10 @@ def _m_values(p: Potential, z, sides, opts: SolverOptions):
 
     Each (z, side) is solved at the working tolerances and at half of them:
     the finer value is returned and the gap between the two is the error bar.
+    For a mirror_symmetric potential only the first side is integrated and
+    its lanes stand for every side: x -> -x maps each half-line problem onto
+    the other, every kernel operation commutes with the sign flip, and so the
+    two sides agree bit for bit, failures included.
 
     Returns (m, err) of shape (len(sides), len(z)).  The error raised is the
     one a loop over z, then sides, then tolerances would meet first.  A pole
@@ -550,24 +570,26 @@ def _m_values(p: Potential, z, sides, opts: SolverOptions):
         raise ValueError(f"energies must be finite, got {complex(z[~np.isfinite(z)][0])}")
     for side in sides:
         p.tail_value(side)  # rejects an unknown side
-    shape = (2, len(sides), z.size)
+    solved = sides[:1] if p.mirror_symmetric else sides
+    pick = [0] * len(sides) if p.mirror_symmetric else list(range(len(sides)))  # solved row of each side
+    shape = (2, len(solved), z.size)
     scale = np.array([1.0, 0.5])[:, None, None]
     zz = np.broadcast_to(z, shape)
     rtol = np.broadcast_to(scale * opts.rel_ode_tol, shape)
     atol = np.broadcast_to(scale * opts.abs_ode_tol, shape)
-    right = np.broadcast_to(np.array([s == "right" for s in sides])[None, :, None], shape)
+    right = np.broadcast_to(np.array([s == "right" for s in solved])[None, :, None], shape)
     flat, failures = _integrate(p, zz.ravel(), right.ravel(), rtol.ravel(), atol.ravel(), opts)
-    coarse, m = flat.reshape(shape)
+    coarse, m = flat.reshape(shape)[:, pick]
     err = np.abs(m - coarse) + 1e-15 * (1.0 + np.abs(m))
 
-    failed = np.array([f is not None for f in failures]).reshape(shape)
+    failed = np.array([f is not None for f in failures]).reshape(shape)[:, pick]
     bad = failed.any(axis=0) | (err > SINGULAR_ERR * (1.0 + np.abs(m)))
     if bad.any():
         i, s = divmod(int(np.argmax(bad.T)), len(sides))
         reason = f"error bar {err[s, i]:.3g} exceeds {SINGULAR_ERR:g} * (1 + |m|)"
         if failed[:, s, i].any():
             tol = int(np.argmax(failed[:, s, i]))
-            failure = failures[np.ravel_multi_index((tol, s, i), shape)]
+            failure = failures[np.ravel_multi_index((tol, pick[s], i), shape)]
             if not isinstance(failure, NodeAtOrigin):
                 raise failure
             reason = "u(0) vanished"

@@ -147,15 +147,11 @@ def test_wavepacket_trace_file(tmp_path):
     ids=["out-missing-dir", "out-directory", "trace-missing-dir", "trace-not-str", "out-not-str"],
 )
 def test_unwritable_output_exits_2(out, trace_path, output, expected, tmp_path, capsys, monkeypatch):
-    # each used to end in a traceback and exit 1, the first three after the
-    # whole computation; a path that is not a string is refused before any solve
+    # each used to end in a traceback and exit 1, and the first three then
+    # came only after the whole computation; every one is refused before any solve
+    _, batches = _record_solves(monkeypatch, refuse=True)
     if isinstance(trace_path, str):
         trace_path = str(tmp_path / trace_path)
-    else:
-        def refused(*args, **kwargs):
-            raise AssertionError("solved before the trace path was checked")
-
-        monkeypatch.setattr("weylscatter.cli.boundary_pairs", refused)
     packet = dict(FREE_PACKET, trace_path=trace_path)
     cfg = write_config(
         tmp_path, "wp.json", {"potential": {"kind": "zero"}, "packet": packet, "output": output}
@@ -166,7 +162,22 @@ def test_unwritable_output_exits_2(out, trace_path, output, expected, tmp_path, 
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and expected.format(tmp=tmp_path) in err, err
-    assert not (tmp_path / "out.csv").exists()
+    assert batches == [] and not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("field", ["trace_path", "trace_stride"])
+def test_verify_refuses_packet_trace_fields(field, tmp_path, monkeypatch, capsys):
+    # verify never wrote the trace, and used to drop both fields without a word
+    _, batches = _record_solves(monkeypatch, refuse=True)
+    packet = {"trace_path": str(tmp_path / "trace.csv"), "trace_stride": 1}
+    cfg = write_config(
+        tmp_path, "v.json", {"potential": BARRIER, "lambda_grid": [1.0], "packet": {field: packet[field]}}
+    )
+    out = tmp_path / "v.csv"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and field in err, err
+    assert batches == [] and not out.exists() and not (tmp_path / "trace.csv").exists()
 
 
 def test_verify_truncated_poschl_teller(tmp_path):

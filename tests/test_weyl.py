@@ -373,14 +373,91 @@ class _CountingBump(GaussianBump):
 
 
 def test_sweep_does_no_work_for_finished_lanes():
-    # a lane leaves the batch when it finishes: the low-energy lanes must not
-    # ride along with the high-energy ones
+    # finished lanes are parked and leave the batch once half of it is done;
+    # the low-energy lanes finish together, so none may ride along with the
+    # high-energy ones
     def points(grid):
         _CountingBump.points = 0
         sweep(_CountingBump(amplitude=1.0, sigma=1.0), grid, OPTS)
         return _CountingBump.points
 
     assert points([0.3, 8.8]) == points([0.3]) + points([8.8])
+
+
+MIRROR_CANDIDATES = [
+    Zero(),
+    PoschlTeller(nu=1),
+    PoschlTeller(nu=2),
+    SquareBarrier(height=2.0, half_width=0.5),
+    SquareBarrier(height=-5.0, half_width=1.0),
+    SquareBarrier(height=2.0, half_width=0.5, center=0.3),
+    GaussianBump(amplitude=1.0, sigma=1.0),
+    GaussianBump(amplitude=-4.0, sigma=0.7),
+    GaussianBump(amplitude=1.0, sigma=1.0, center=-0.4),
+    truncated(PoschlTeller(nu=2), 1e-12),
+    truncated(GaussianBump(amplitude=1.0, sigma=1.0), 1e-10),
+    truncated(GaussianBump(amplitude=1.0, sigma=1.0, center=0.5), 1e-10),
+    Sampled(xs=[-2.0, -1.0, 0.0, 1.0, 2.0], vs=[0.0, 1.0, 2.0, 1.0, 0.0]),
+    Step(0.0, 1.0),
+]
+
+
+def _mirror_id(p):
+    inner = getattr(p, "inner", p)
+    return f"{type(p).__name__}-{type(inner).__name__}-{getattr(inner, 'center', 0.0)}-{p.lower_bound}"
+
+
+@pytest.mark.parametrize("p", MIRROR_CANDIDATES, ids=_mirror_id)
+def test_mirror_symmetric_flag_means_equal_sides(p):
+    # the flag lets _m_values integrate one side for both, so a potential
+    # that claims it must give the two sides' lanes the same bits at every z
+    centred = getattr(getattr(p, "inner", p), "center", 0.0) == 0.0
+    assert p.mirror_symmetric == (centred and not isinstance(p, (Sampled, Step)))
+    if not p.mirror_symmetric:
+        return
+    rng = np.random.default_rng(1616)
+    z = np.concatenate(
+        [
+            rng.uniform(0.05, 12.0, 6),
+            rng.uniform(-3.0, 9.0, 4) + 1j * rng.uniform(0.05, 3.0, 4),
+            p.lower_bound - rng.uniform(0.1, 4.0, 4),
+        ]
+    ).astype(complex)
+    n = z.size
+    tols = np.full(2 * n, 1.0)
+    m, failures = _integrate(
+        p, np.r_[z, z], np.repeat([False, True], n), OPTS.rel_ode_tol * tols, OPTS.abs_ode_tol * tols, OPTS
+    )
+    for part in (m.real, m.imag):
+        assert [float(v).hex() for v in part[:n]] == [float(v).hex() for v in part[n:]]
+    assert [type(f) for f in failures[:n]] == [type(f) for f in failures[n:]]
+
+
+def test_sweep_integrates_one_side_and_parks_finished_lanes(monkeypatch):
+    # a mirror-symmetric potential hands the kernel its left lanes only, and
+    # finished lanes are gathered out in a few batches, not one at a time
+    from weylscatter import weyl
+
+    batches, fits = [], []
+    integrate, fit = weyl._integrate, weyl._Scratch.fit
+
+    def recorded_integrate(p, z, right, rtol, atol, opts):
+        batches.append(right.copy())
+        return integrate(p, z, right, rtol, atol, opts)
+
+    def recorded_fit(self, z):
+        fits.append(z.size)
+        fit(self, z)
+
+    monkeypatch.setattr(weyl, "_integrate", recorded_integrate)
+    monkeypatch.setattr(weyl._Scratch, "fit", recorded_fit)
+    grid = np.random.default_rng(32).uniform(0.1, 10.0, 32)
+    sweep(truncated(PoschlTeller(nu=2), 1e-12), grid, OPTS)
+    assert len(batches) == 1 and batches[0].size == 64 and not batches[0].any()
+    assert fits[0] == 64 and len(fits) <= 10
+    batches.clear()
+    sweep(Sampled(xs=[-2.0, -1.0, 0.0, 1.0, 2.0], vs=[0.0, 1.0, 2.0, 1.0, 0.0]), grid, OPTS)
+    assert len(batches) == 1 and batches[0].size == 128 and batches[0].sum() == 64
 
 
 def test_solver_options_validation():
