@@ -15,6 +15,15 @@ r = ||D - c g g^T||_F of the difference D, the Eckart-Young theorem and
 Weyl's inequality give sv2(D) <= r and sv1(D) >= |c| ||g||^2 - r, so
 r / (|c| ||g||^2 - r) is an upper bound on sv2/sv1.
 
+D lives in one (2N+1)^2 buffer, that of the resolvent.  H_inf - z is block
+diagonal, so D is the resolvent less each Dirichlet half-line inverse on its
+own block, the two inverses taking turns in one N x N scratch.  g and G00
+are read from D's origin column, where (H_inf - z)^-1 vanishes;
+||g g^T||_F^2 = (g^H g)^2 in closed form, and c g g^T is subtracted from D a
+block of rows at a time, never formed whole.  The inner products and the
+Frobenius norm are numpy.einsum reductions, which call no BLAS and sum in a
+fixed order, so the check's bits do not depend on the BLAS thread count.
+
 Nor does it take an eigendecomposition.  The inversion is guarded by a
 closed-form upper bound on cond_2(H - z) from (n, h, v, z) alone: H is real
 symmetric, so the singular values of H - z are |lambda_i - z|.  Gershgorin
@@ -24,7 +33,7 @@ min(v), and |lambda_i - z| >= hypot(max(min(v) - Re z, 0), Im z) > 0 on the
 z domain of LatticeModel.  On verify's models the ratio of the two is
 within a factor 4 of the exact cond_2.
 
-No dense H is built and no LAPACK routine is called.  H - z, and each
+No dense H is built and no BLAS or LAPACK routine is called.  H - z, and each
 Dirichlet half-line block of H_inf - z, is the complex symmetric tridiagonal
 matrix with diagonal d_i = 2/h^2 + v_i - z and off-diagonal e = -1/h^2, and
 it is inverted by Gaussian elimination without pivoting, in O(N^2).  The
@@ -55,6 +64,7 @@ from .errors import SingularResolvent
 from .potential import Potential, effective_support
 
 _COND_LIMIT = 1e12
+_ROW_BLOCK = 32  # rows of c g g^T formed at a time
 
 WEIGHT_CONVENTION = "delta_0 = e_0 / sqrt(h); G00(z) = [(H - z)^-1]_{00} / h"
 
@@ -147,7 +157,11 @@ def _resolvent(model: LatticeModel) -> np.ndarray:
 
 
 def decoupled_resolvent(model: LatticeModel) -> np.ndarray:
-    """(H_inf - z)^-1 embedded in the full grid: block inverses, zero origin row/column."""
+    """(H_inf - z)^-1 embedded in the full grid: block inverses, zero origin row/column.
+
+    A reference: the check subtracts the block inverses from the resolvent in
+    place and never builds this matrix.
+    """
     size = 2 * model.n + 1
     mid = model.n
     diag, off = _tridiagonal(model)
@@ -155,6 +169,11 @@ def decoupled_resolvent(model: LatticeModel) -> np.ndarray:
     for block in (slice(None, mid), slice(mid + 1, None)):
         _invert_into(out[block, block], diag[block], off)
     return out
+
+
+def _sum_squares(a: np.ndarray) -> float:
+    """Sum of the squared entries of a real matrix, in a fixed order and without BLAS."""
+    return float(np.einsum("ij,ij->", a, a))
 
 
 def resolvent_difference_check(
@@ -173,24 +192,35 @@ def resolvent_difference_check(
     condition = (4.0 / model.h**2 + float(np.abs(model.v).max()) + abs(z)) / dist
     if not math.isfinite(condition) or condition > _COND_LIMIT:
         raise SingularResolvent(f"resolvent solve condition bound {condition:.3e}")
-    resolvent = _resolvent(model)
-    # D is formed, and then reduced to its rank-one residual, in the buffer of
-    # the decoupled resolvent, and g g^T in that of the resolvent, which is
-    # read no more: no further (2N+1)^2 arrays
-    diff = decoupled_resolvent(model)
-    np.subtract(resolvent, diff, out=diff)
+    # D in the buffer of the resolvent, see the module docstring
+    diff = _resolvent(model)
+    diag, off = _tridiagonal(model)
+    half_inverse = np.empty((mid, mid), dtype=complex)
+    for block in (slice(None, mid), slice(mid + 1, None)):
+        _invert_into(half_inverse, diag[block], off)
+        diff[block, block] -= half_inverse
+    del half_inverse
 
-    g = resolvent[:, mid] / math.sqrt(model.h)
-    g00 = resolvent[mid, mid] / model.h
-    outer = np.outer(g, g, out=resolvent)
-    coeff = complex(np.vdot(outer, diff) / np.vdot(outer, outer))
+    g = diff[:, mid] / math.sqrt(model.h)
+    g00 = diff[mid, mid] / model.h
+    g_conj = g.conj()
+    # <g g^T, D> = g^H (D conj(g)), a row sum at a time, and ||g g^T||_F^2 = (g^H g)^2
+    g_norm2 = float(np.einsum("i,i->", g_conj, g).real)
+    d_g = np.einsum("ij,j->i", diff, g_conj)
+    coeff = complex(np.einsum("i,i->", g_conj, d_g) / g_norm2**2)
     coeff_resid = float(abs(coeff - 1.0 / g00))
     entry_resid = float(abs(diff[mid, mid] - g[mid] ** 2 / g00))
 
-    outer *= coeff
-    diff -= outer
-    resid = math.sqrt(np.vdot(diff, diff).real)
-    lead = abs(coeff) * np.vdot(g, g).real - resid
+    # D - c g g^T in place, c g g^T formed a block of rows at a time
+    part = np.empty((_ROW_BLOCK, len(g)), dtype=complex)
+    for start in range(0, len(g), _ROW_BLOCK):
+        rows = diff[start : start + _ROW_BLOCK]
+        outer = part[: len(rows)]
+        np.multiply.outer(g[start : start + _ROW_BLOCK], g, out=outer)
+        outer *= coeff
+        rows -= outer
+    resid = math.sqrt(_sum_squares(diff.real) + _sum_squares(diff.imag))
+    lead = abs(coeff) * g_norm2 - resid
     sv_ratio = resid / lead if lead > 0.0 else math.inf
 
     cont_resid = None

@@ -155,10 +155,38 @@ _FIELD_TYPES = {
 }
 
 
-@functools.cache
+# the 8-point Gauss-Legendre rule on [-1, 1], written out with the bits of
+# numpy.polynomial.legendre.leggauss(8): a cell average imports nothing from
+# numpy.polynomial and makes no LAPACK eigen-solve
+_GL_NODES = np.array(
+    [
+        -0.9602898564975362,
+        -0.7966664774136267,
+        -0.525532409916329,
+        -0.18343464249564978,
+        0.18343464249564978,
+        0.525532409916329,
+        0.7966664774136267,
+        0.9602898564975362,
+    ]
+)
+_GL_WEIGHTS = np.array(
+    [
+        0.10122853629037706,
+        0.22238103445337443,
+        0.3137066458778869,
+        0.36268378337836166,
+        0.36268378337836166,
+        0.3137066458778869,
+        0.22238103445337443,
+        0.10122853629037706,
+    ]
+)
+_GL_NODES.flags.writeable = _GL_WEIGHTS.flags.writeable = False
+
+
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    # on first use: runs that never average cells skip numpy.polynomial and LAPACK
-    return np.polynomial.legendre.leggauss(8)
+    return _GL_NODES, _GL_WEIGHTS
 
 
 _MEAN_TOL = 1e-14

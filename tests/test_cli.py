@@ -234,23 +234,25 @@ def test_verify_gaussian_fine_slab_passes_oracle(slab_width, tmp_path):
 
 
 def test_verify_makes_no_eigendecomposition(tmp_path, monkeypatch):
-    # the lattice check guards its solve with a closed-form condition bound;
-    # the cell-average quadrature rule takes its nodes from an 8 x 8
-    # eigenproblem once per process, so it is built before the count starts
+    # the lattice check guards its solve with a closed-form condition bound
+    # and inverts by elimination, and the cell-average quadrature rule is a
+    # table of constants: from a cold start, verify calls no dense solver
     from weylscatter.potential import _gauss_legendre
 
-    _gauss_legendre()
+    getattr(_gauss_legendre, "cache_clear", lambda: None)()
     calls = []
 
     def refused(name):
         def call(*args, **kwargs):
             calls.append(name)
-            raise AssertionError(f"verify called np.linalg.{name}")
+            raise AssertionError(f"verify called {name}")
 
         return call
 
-    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, refused(name))
+    dense = ("eig", "eigh", "eigvals", "eigvalsh", "svd", "inv", "solve", "cond", "lstsq")
+    for name in dense:
+        monkeypatch.setattr(np.linalg, name, refused(f"np.linalg.{name}"))
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refused("leggauss"))
     cfg = write_config(tmp_path, "b.json", {"potential": BARRIER, "lambda_grid": [1.0, 2.0]})
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v.csv")]) == 0
     assert calls == []

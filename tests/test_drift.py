@@ -22,7 +22,11 @@ trees:
 * *_verify: commit 720d34a, the first tree whose lattice check inverts
   H - z by tridiagonal elimination.  The references before them, from
   commit 8c67693, differ only in the three `lattice_*` rows, by at most
-  3.0e-14.  Every row must match byte for byte except two, which the
+  3.0e-14.  Their `lattice_rank_one` and `lattice_coefficient` rows come
+  from the commit that made the check reduce D by einsum, without BLAS
+  (child of 4d33b69): the earlier bytes held the partial sums of OpenBLAS
+  `vdot` on two threads, and moved with the thread count, by up to 2.1e-14.
+  Every row must match byte for byte except two, which the
   earlier references (commit b3d8728) needed: `lattice_rank_one` reports an
   upper bound on sv2/sv1, so its residual may only grow, and must still
   pass; the `spectral_vs_oracle` residual may move by ORACLE_DRIFT, every
@@ -39,12 +43,15 @@ or, for the verify references, `... "$tree/src" verify`.
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 DATA = Path(__file__).parent / "data" / "drift"
+SRC = Path(__file__).resolve().parents[1] / "src"
 LAMBDAS = [0.23, 1.41, 2.67, 3.9, 5.15, 6.33, 7.58, 9.71]
 POTENTIALS = {
     "pt2": {"kind": "poschl_teller", "nu": 2},
@@ -71,12 +78,21 @@ NO_ERR_TOL = 1e-12
 ORACLE_DRIFT = 1e-14
 
 
-def _artifact(cli, work: Path, name: str, command: str, packet: str = "") -> str:
-    stem = f"{name}_{command}{packet}"
-    config = work / f"{stem}.json"
+# the variables OpenBLAS reads its thread count from, first to last
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+CLI_SNIPPET = "import sys; from weylscatter.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _config(work: Path, name: str, command: str, packet: str = "") -> Path:
+    config = work / f"{name}_{command}{packet}.json"
     raw = {"potential": SPECS[name], "lambda_grid": LAMBDAS, "packet": PACKETS[packet]}
     config.write_text(json.dumps(raw))
-    out = work / f"{stem}.csv"
+    return config
+
+
+def _artifact(cli, work: Path, name: str, command: str, packet: str = "") -> str:
+    config = _config(work, name, command, packet)
+    out = config.with_suffix(".csv")
     assert cli.main([command, "--config", str(config), "--out", str(out)]) == 0
     return out.read_text()
 
@@ -141,6 +157,21 @@ def test_verify_matches_reference(name, tmp_path):
         assert cur_row["tolerance"] == ref_row["tolerance"] == "1e-10"
         assert float(ref_row["residual"]) <= float(cur_row["residual"]) <= 1e-10, (ref_row, cur_row)
         assert cur_row["status"] == "pass"
+
+
+def test_verify_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # a fresh interpreter at one BLAS thread and one at the default count
+    # write the same bytes, the lattice check's reductions included
+    config = _config(tmp_path, "barrier", "verify")
+    env = {key: value for key, value in os.environ.items() if key not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(SRC)
+    artifacts = []
+    for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        out = tmp_path / f"verify_{len(artifacts)}.csv"
+        command = [sys.executable, "-c", CLI_SNIPPET, "verify", "--config", str(config), "--out", str(out)]
+        subprocess.run(command, env={**env, **threads}, check=True, timeout=300)
+        artifacts.append(out.read_bytes())
+    assert artifacts[0] == artifacts[1]
 
 
 if __name__ == "__main__":

@@ -148,9 +148,11 @@ def _verify_models(p, seed, count=3, z_cont=False):
 def _exact_sv_ratio(model):
     """sv2/sv1 of the check's own resolvent difference, from a full SVD.
 
-    Takes both resolvents from the module, the decoupled one looked up as the
-    check does, so a patch reaches both; a LAPACK inverse in place of the
-    full one would measure how far two inverses disagree, near 1e-14.
+    Takes both resolvents from the module, the full one looked up as the
+    check does, so a patch of it reaches both; the check subtracts the same
+    block inverses in place, so D has the same bits.  A LAPACK inverse in
+    place of the full one would measure how far two inverses disagree, near
+    1e-14.
     """
     diff = lattice._resolvent(model) - lattice.decoupled_resolvent(model)
     svals = np.linalg.svd(diff, compute_uv=False)
@@ -166,15 +168,16 @@ def test_sv_ratio_bounds_the_exact_ratio(name):
 
 @pytest.mark.parametrize("name", sorted(RANK_ONE_POTENTIALS))
 def test_rank_two_difference_fails_the_bound(name, monkeypatch):
-    # one 1e-6 entry off the origin row and column makes D rank two
-    exact = decoupled_resolvent
+    # one 1e-6 entry off the origin row and column and off the half-line
+    # blocks, where D is the resolvent, makes D rank two
+    exact = lattice._resolvent
 
     def perturbed(model):
         out = exact(model)
         out[model.n + 3, model.n - 5] += 1e-6
         return out
 
-    monkeypatch.setattr(lattice, "decoupled_resolvent", perturbed)
+    monkeypatch.setattr(lattice, "_resolvent", perturbed)
     for model in _verify_models(RANK_ONE_POTENTIALS[name], seed=32):
         report = resolvent_difference_check(model)
         assert 1e-10 < _exact_sv_ratio(model) <= report.sv_ratio, model.z

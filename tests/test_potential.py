@@ -247,6 +247,21 @@ def test_mean_value_matches_closed_forms():
         assert np.max(np.abs(bump.mean_value(a, b) - ref)) <= 1e-12, width
 
 
+def test_gauss_legendre_constants():
+    # the bits of numpy's rule, and exact on polynomials of degree 15 up to
+    # the rule's own error: summed in exact rational arithmetic, these nodes
+    # and weights miss the integral of x^2 by 1.15e-15
+    from weylscatter.potential import _gauss_legendre
+
+    nodes, weights = _gauss_legendre()
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(8)
+    assert nodes.tobytes() == ref_nodes.tobytes()
+    assert weights.tobytes() == ref_weights.tobytes()
+    for k in range(16):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(float(np.sum(weights * nodes**k)) - exact) <= 2e-15, k
+
+
 def test_mean_value_many_breakpoints_small_memory():
     xs = np.linspace(-200.0, 200.0, 2000)
     p = Sampled(xs=xs, vs=np.sin(xs))
