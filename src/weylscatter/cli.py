@@ -10,6 +10,11 @@ path that cannot be written, 3 on numerical failures propagated from the
 computation modules.  CSV output uses a mandatory header row and 17
 significant digits so doubles round-trip losslessly; identical config and
 seed produce byte-identical artifacts.
+
+The config is read by potential.py's one field reader: check_object refuses
+unknown and missing fields by the fields of RunConfig (the top level),
+Output, GridSpan, SolverOptions and PacketSpec, and read_fields converts
+each number by its field's annotation, so true or "2.0" is no number.
 """
 from __future__ import annotations
 
@@ -27,7 +32,7 @@ from .dynamics import IncidentBand, PacketSpec, band_reflection, evolve_packet, 
 from .errors import ConfigParseError, ValidationError, WeylScatterError
 from .lattice import lattice_model_from_potential, resolvent_difference_check
 from .oracle import transfer_reflection_grid
-from .potential import Potential, effective_support, integral, potential_from_config
+from .potential import Potential, check_object, effective_support, potential_from_config, read_field, read_fields
 from .scattering import (
     DEFAULT_SUPPORT_THRESHOLD,
     boundary_pairs,
@@ -38,102 +43,17 @@ from .scattering import (
 )
 from .weyl import MValue, SolverOptions, sweep
 
-COMMANDS = ("mfunction", "scatter", "reflect", "wavepacket", "verify", "scan")
-CONFIG_FIELDS = (
-    "potential", "command", "lambda_grid", "solver", "s_threshold", "zero_tol",
-    "slab_width", "packet", "output", "seed",
-)
-OUTPUT_FIELDS = ("path", "format")
 # a {min, max, count} grid is refused above this many energies before any
 # allocation; every command holds several float64 columns per energy
 MAX_GRID_COUNT = 100_000
+# packet fields that auto_packet reads next to PacketSpec's own
+TRACE_FIELDS = ("trace_stride", "trace_path")
 
 
-@dataclass
-class RunConfig:
-    potential: Potential
-    command: str
-    lambda_grid: np.ndarray
-    solver: SolverOptions
-    s_threshold: float = DEFAULT_SUPPORT_THRESHOLD
-    zero_tol: float = 1e-6
-    slab_width: float = 0.005
-    packet: dict = field(default_factory=dict)
-    output_path: str | None = None
-    output_format: str = "csv"
-    seed: int = 0
-
-    def __post_init__(self):
-        # every comparison with NaN is False, and a negative threshold admits all
-        for name in ("s_threshold", "zero_tol"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise ConfigParseError(f"{name} must be finite and >= 0, got {value!r}")
-        if not 0.0 < self.slab_width < math.inf:
-            raise ConfigParseError(f"slab_width must be finite and > 0, got {self.slab_width!r}")
-        try:
-            self.seed = integral(self.seed)
-        except ValueError as exc:
-            raise ConfigParseError(f"seed: {exc}") from None
-        if self.seed < 0:
-            raise ConfigParseError(f"seed must be >= 0, got {self.seed}")
-
-
-def _default_grid() -> np.ndarray:
-    return np.linspace(0.5, 8.0, 16)
-
-
-def _number(value, name: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigParseError(f"{name}: {exc}") from None
-
-
-def _parse_grid(raw) -> np.ndarray:
-    if raw is None:
-        return _default_grid()
-    if isinstance(raw, dict):
-        try:
-            lo, hi, count = raw["min"], raw["max"], raw["count"]
-        except KeyError as exc:
-            raise ConfigParseError(f"lambda_grid object needs field {exc}") from None
-        lo, hi = _number(lo, "lambda_grid min"), _number(hi, "lambda_grid max")
-        try:
-            count = integral(count)
-        except ValueError as exc:
-            raise ConfigParseError(f"lambda_grid count: {exc}") from None
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ConfigParseError(f"lambda_grid min and max must be finite, got {lo!r} and {hi!r}")
-        if not (lo < hi) or count < 1:
-            raise ConfigParseError("lambda_grid needs min < max and count >= 1")
-        if count > MAX_GRID_COUNT:
-            raise ConfigParseError(f"lambda_grid count must be at most {MAX_GRID_COUNT}, got {count}")
-        return np.linspace(lo, hi, count)
-    if isinstance(raw, list):
-        if not raw:
-            raise ConfigParseError("lambda_grid list must be nonempty")
-        grid = np.asarray([_number(v, f"lambda_grid[{i}]") for i, v in enumerate(raw)])
-        bad = grid[~np.isfinite(grid)]
-        if bad.size:
-            raise ConfigParseError(f"lambda_grid energies must be finite, got {float(bad[0])!r}")
-        return grid
-    raise ConfigParseError("lambda_grid must be a {min,max,count} object or a list")
-
-
-def _reject_unknown(where: str, fields: dict, known: tuple[str, ...]) -> None:
-    unknown = sorted(set(fields) - set(known))
-    if unknown:
-        raise ConfigParseError(f"unknown {where} fields: {', '.join(unknown)}")
-
-
-def _check_path(name: str, path) -> None:
+def _check_writable(name: str, path) -> None:
+    """Refuse an output path whose file cannot be created, before any computation runs."""
     if path is not None and not isinstance(path, str):
         raise ConfigParseError(f"{name} must be a string, got {path!r}")
-
-
-def _check_writable(path: str | None) -> None:
-    """Refuse an output path whose file cannot be created, before any computation runs."""
     if not path:
         return
     target = Path(path)
@@ -148,6 +68,75 @@ def _write_artifact(path: str, text: str) -> None:
         Path(path).write_text(text)
     except OSError as exc:
         raise ConfigParseError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+@dataclass(frozen=True)
+class Output:
+    """The config's "output" object: the artifact's path (None for stdout) and format."""
+
+    path: str | None = None
+    format: str = "csv"
+
+    def __post_init__(self):
+        _check_writable("output path", self.path)
+        if self.format not in ("csv", "json"):
+            raise ConfigParseError(f"output format must be csv or json, got {self.format!r}")
+
+
+@dataclass(frozen=True)
+class GridSpan:
+    """A {min, max, count} lambda_grid: count energies evenly spaced from min to max."""
+
+    min: float
+    max: float
+    count: int
+
+    def __post_init__(self):
+        read_fields(self, ConfigParseError, "lambda_grid ")
+        if not (self.min < self.max and 1 <= self.count <= MAX_GRID_COUNT):
+            raise ConfigParseError(f"lambda_grid needs min < max and a count from 1 to at most {MAX_GRID_COUNT}")
+
+
+@dataclass
+class RunConfig:
+    """The config's top level: each field is a config field, with its one default.
+
+    load_config builds the nested objects; construction reads the numbers.
+    """
+
+    potential: Potential
+    command: str
+    lambda_grid: np.ndarray = field(default_factory=lambda: np.linspace(0.5, 8.0, 16))
+    solver: SolverOptions = field(default_factory=SolverOptions)
+    s_threshold: float = DEFAULT_SUPPORT_THRESHOLD
+    zero_tol: float = 1e-6
+    slab_width: float = 0.005
+    packet: dict = field(default_factory=dict)
+    output: Output = field(default_factory=Output)
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.command not in COMMANDS:
+            raise ConfigParseError(f"command must be one of {', '.join(COMMANDS)}; got {self.command!r}")
+        read_fields(self, ConfigParseError)
+        # a negative threshold admits every energy
+        for name in ("s_threshold", "zero_tol", "seed"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigParseError(f"{name} must be >= 0, got {value!r}")
+        if not self.slab_width > 0:
+            raise ConfigParseError(f"slab_width must be > 0, got {self.slab_width!r}")
+        if not isinstance(self.packet, dict):
+            raise ConfigParseError("'packet' must be an object of PacketSpec overrides")
+
+
+def _parse_grid(raw) -> np.ndarray:
+    if isinstance(raw, dict):
+        span = GridSpan(**check_object("lambda_grid", raw, GridSpan))
+        return np.linspace(span.min, span.max, span.count)
+    if isinstance(raw, list) and raw:
+        return np.array([read_field(f"lambda_grid[{i}]", "float", v, ConfigParseError) for i, v in enumerate(raw)])
+    raise ConfigParseError("lambda_grid must be a {min, max, count} object or a nonempty list")
 
 
 def load_config(
@@ -171,45 +160,16 @@ def load_config(
         ) from exc
     if not isinstance(raw, dict):
         raise ConfigParseError(f"{path}: top-level config must be a JSON object")
-    _reject_unknown("config", raw, CONFIG_FIELDS)
-    if "potential" not in raw:
-        raise ConfigParseError(f"{path}: missing required field 'potential'")
-    potential = potential_from_config(raw["potential"], base_dir=path.parent)
-    cmd = command or raw.get("command")
-    if cmd not in COMMANDS:
-        raise ConfigParseError(f"command must be one of {', '.join(COMMANDS)}; got {cmd!r}")
-    try:
-        solver = SolverOptions(**raw.get("solver", {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigParseError(f"bad solver options: {exc}") from exc
-    output = raw.get("output", {})
-    if not isinstance(output, dict):
-        raise ConfigParseError("'output' must be an object with path/format fields")
-    _reject_unknown("output", output, OUTPUT_FIELDS)
-    _check_path("output path", output.get("path"))
-    _check_writable(out or output.get("path"))
-    out_format = fmt or output.get("format", "csv")
-    if out_format not in ("csv", "json"):
-        raise ConfigParseError(f"output format must be csv or json, got {out_format!r}")
-    packet = raw.get("packet", {})
-    if not isinstance(packet, dict):
-        raise ConfigParseError("'packet' must be an object of PacketSpec overrides")
-    try:
-        return RunConfig(
-            potential=potential,
-            command=cmd,
-            lambda_grid=_parse_grid(raw.get("lambda_grid")),
-            solver=solver,
-            s_threshold=_number(raw.get("s_threshold", DEFAULT_SUPPORT_THRESHOLD), "s_threshold"),
-            zero_tol=_number(raw.get("zero_tol", 1e-6), "zero_tol"),
-            slab_width=_number(raw.get("slab_width", 0.005), "slab_width"),
-            packet=packet,
-            output_path=out or output.get("path"),
-            output_format=out_format,
-            seed=seed if seed is not None else raw.get("seed", 0),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigParseError(f"bad config field: {exc}") from exc
+    raw.update({name: v for name, v in (("command", command), ("seed", seed)) if v is not None})
+    given = check_object("config", raw, RunConfig)
+    given["potential"] = potential_from_config(given["potential"], base_dir=path.parent)
+    if "lambda_grid" in given:
+        given["lambda_grid"] = _parse_grid(given["lambda_grid"])
+    given["solver"] = SolverOptions(**check_object("solver", given.get("solver", {}), SolverOptions))
+    output = check_object("output", given.get("output", {}), Output)
+    output.update({name: v for name, v in (("path", out), ("format", fmt)) if v is not None})
+    given["output"] = Output(**output)
+    return RunConfig(**given)
 
 
 def _fmt(value) -> str:
@@ -310,51 +270,53 @@ def _cmd_scan(config: RunConfig):
 
 
 def auto_packet(p: Potential, overrides: dict) -> tuple[PacketSpec, int, str | None]:
-    """Fill a PacketSpec from overrides, deriving sensible defaults from the potential."""
-    overrides = dict(overrides)
+    """Fill a PacketSpec from overrides, deriving sensible defaults from the potential.
 
-    def number(name, default, kind=float):
-        try:
-            return kind(overrides.pop(name, default))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigParseError(f"packet field {name}: {exc}") from None
+    overrides, the config's packet object, may give PacketSpec's fields and the
+    TRACE_FIELDS; a trace_path needs a trace_stride >= 1, and the other way round.
+    """
+    overrides = check_object("packet", overrides, PacketSpec, extra=TRACE_FIELDS, partial=True)
 
-    def positive(name, value):
+    def read(name, default, annotation="float"):
+        return read_field(f"packet field {name}", annotation, overrides.get(name, default), ConfigParseError)
+
+    def positive(name, default):
         # the defaults below divide by k0 and sigma_x
-        if not 0.0 < value < math.inf:
-            raise ConfigParseError(f"packet field {name} must be positive and finite, got {value!r}")
+        value = read(name, default)
+        if not value > 0:
+            raise ConfigParseError(f"packet field {name} must be positive, got {value!r}")
         return value
 
-    trace_stride = number("trace_stride", 0, integral)
-    trace_path = overrides.pop("trace_path", None)
-    _check_path("packet field trace_path", trace_path)
-    _check_writable(trace_path)
-    k0 = positive("k0", number("k0", 1.5))
-    sigma = positive("sigma_x", number("sigma_x", max(6.0, 4.0 / k0)))
+    trace_stride = read("trace_stride", 0, "int")
+    trace_path = overrides.get("trace_path")
+    _check_writable("packet field trace_path", trace_path)
+    if trace_stride < 0:
+        raise ConfigParseError(f"packet field trace_stride must be >= 0, got {trace_stride}")
+    if trace_path is not None and trace_stride < 1:
+        raise ConfigParseError("packet field trace_path needs a trace_stride >= 1")
+    if not trace_path and trace_stride >= 1:
+        raise ConfigParseError("packet field trace_stride needs a trace_path to write to")
+    k0 = positive("k0", 1.5)
+    sigma = positive("sigma_x", max(6.0, 4.0 / k0))
     support = effective_support(p, 1e-12)
-    x0 = number("x0", -(support + 4.0 * sigma + 8.0))
+    x0 = read("x0", -(support + 4.0 * sigma + 8.0))
     # the transmitted front must not reach the edge zone before the slow tail
     # clears the interaction region, so leave generous clearance
-    half_length = number("half_length", abs(x0) + 100.0)
+    half_length = read("half_length", abs(x0) + 100.0)
     k_need = k0 + 4.0 / sigma + 3.0
     n_min = 2.0 * half_length * k_need / math.pi
     n_default = 1024
     while n_default < n_min < math.inf:
         n_default *= 2
-    n_points = number("n_points", n_default, integral)
-    dt = number("dt", 0.01)
     v_slow = max(2.0 * (k0 - 4.0 / sigma), k0)
-    t_max = number("t_max", 3.0 * (abs(x0) + half_length) / v_slow)
-    if overrides:
-        raise ConfigParseError(f"unknown packet fields: {', '.join(sorted(overrides))}")
     spec = PacketSpec(
         x0=x0,
         k0=k0,
         sigma_x=sigma,
         half_length=half_length,
-        n_points=n_points,
-        dt=dt,
-        t_max=t_max,
+        n_points=overrides.get("n_points", n_default),
+        dt=overrides.get("dt", 0.01),
+        t_max=overrides.get("t_max", 3.0 * (abs(x0) + half_length) / v_slow),
     )
     return spec, trace_stride, trace_path
 
@@ -376,8 +338,8 @@ def _solve_together(config: RunConfig, *energy_sets) -> list[list[tuple[MValue, 
     one DOP853 step of every running lane in a fixed set of numpy calls
     whatever the lane count, and pays per-lane arithmetic while a lane runs
     and, parked, until half its batch is done, so one sweep over the
-    concatenation is cheaper than one per set, and every lane comes out as
-    it would alone.  A failure reports the first failing energy in the order
+    concatenation makes fewer numpy calls than one per set, though not always
+    less arithmetic, and every lane comes out as it would alone.  A failure reports the first failing energy in the order
     the sets are given.
     """
     grid = np.concatenate([np.asarray(energies, dtype=float) for energies in energy_sets])
@@ -426,7 +388,7 @@ def _cmd_verify(config: RunConfig):
     tails) and the real energy z_cont of the continuum G00, solved in that
     order.
     """
-    for name in ("trace_path", "trace_stride"):
+    for name in TRACE_FIELDS:
         if name in config.packet:
             raise ConfigParseError(f"packet field {name} is for wavepacket; verify writes no packet trace")
     p = config.potential
@@ -524,18 +486,19 @@ _COMMANDS = {
     "verify": _cmd_verify,
     "scan": _cmd_scan,
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 def run(config: RunConfig) -> int:
     """Execute one configured command; returns the process exit status."""
     try:
         fields, rows = _COMMANDS[config.command](config)
-        if config.output_format == "json":
+        if config.output.format == "json":
             payload = render_json(fields, rows)
         else:
             payload = render_csv(fields, rows)
-        if config.output_path:
-            _write_artifact(config.output_path, payload)
+        if config.output.path:
+            _write_artifact(config.output.path, payload)
         else:
             sys.stdout.write(payload)
     except ValidationError as exc:

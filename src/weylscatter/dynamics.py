@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryLeak, InvalidPacket, NotConverged
-from .potential import Potential, effective_support
+from .potential import Potential, effective_support, read_fields
 from .scattering import DEFAULT_SUPPORT_THRESHOLD, boundary_pairs, spectral_reflection
 from .weyl import MValue, SolverOptions
 
@@ -51,11 +51,7 @@ class PacketSpec:
     t_max: float
 
     def __post_init__(self):
-        # in the order auto_packet derives its defaults, so the first field
-        # named is the one the others were derived from
-        for name in ("k0", "sigma_x", "x0", "half_length", "dt", "t_max"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidPacket(f"{name} must be finite, got {getattr(self, name)!r}")
+        read_fields(self, InvalidPacket)
         if not (self.k0 > 0 and self.sigma_x > 0 and self.half_length > 0):
             raise InvalidPacket("k0, sigma_x, half_length must be positive")
         if not (self.dt > 0 and self.t_max > 0):

@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularResolvent
-from .potential import Potential, effective_support
+from .potential import Potential, effective_support, read_field
 
 _COND_LIMIT = 1e12
 _ROW_BLOCK = 32  # rows of c g g^T formed at a time
@@ -83,6 +83,9 @@ class LatticeModel:
     z: complex
 
     def __post_init__(self):
+        object.__setattr__(self, "n", read_field("n", "int", self.n, ValueError))
+        object.__setattr__(self, "h", read_field("h", "float", self.h, ValueError))
+        # v may hold a non-finite sample: the elimination refuses its pivot
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
         if self.n < 1:
             raise ValueError("n must be a positive integer")

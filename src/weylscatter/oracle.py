@@ -122,12 +122,12 @@ def transfer_reflection_grid(
     slab_width: float,
     truncation_tol: float = 1e-12,
 ) -> list[TransferResult]:
-    """Transfer-matrix amplitudes for every momentum in ks (all > 0)."""
+    """Transfer-matrix amplitudes for every momentum in ks (all positive and finite)."""
     ks = np.asarray(ks, dtype=float)
     if not (slab_width > 0 and math.isfinite(slab_width)):
         raise InvalidSlabWidth(f"slab_width must be positive and finite, got {slab_width}")
-    if np.any(ks <= 0):
-        raise ValueError("momenta must be positive")
+    if not np.all((ks > 0) & (ks < math.inf)):  # NaN fails both comparisons
+        raise ValueError(f"momenta must be positive and finite, got {ks!r}")
     if p.tail_value("left") != 0.0 or p.tail_value("right") != 0.0:
         raise ValueError("transfer oracle requires equal zero tails")
     edges = _slab_edges(p, slab_width, truncation_tol)

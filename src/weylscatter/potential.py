@@ -9,10 +9,15 @@ evaluate on scalars or numpy arrays.
 Each variant's dataclass is the one statement of its kind: its fields, their
 defaults and its invariants.  A potential is valid once constructed, and
 potential_from_config hands a JSON description's fields to the class by name.
+
+This module holds the one reader of outside input, for potentials, the CLI's
+run configuration and its parts, SolverOptions, PacketSpec and LatticeModel:
+read_fields converts each field by its annotation (a bool or a string is no
+number) and refuses a non-finite one by name, and check_object refuses a JSON
+object's unknown and missing fields by the dataclass's own fields.
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
@@ -32,8 +37,8 @@ INFINITE = math.inf
 class Potential:
     """Base class; concrete variants implement the value/metadata hooks.
 
-    Construction validates: every field annotated float, int or np.ndarray is
-    converted to that type and must be finite, then a variant's own
+    Construction validates: read_fields converts every field annotated float,
+    int or np.ndarray to that type and requires it finite, then a variant's own
     __post_init__ checks its invariants.  The first violation raises
     InvalidPotential naming the field.
     """
@@ -53,18 +58,7 @@ class Potential:
             cls.mirror_symmetric = False
 
     def __post_init__(self):
-        for f in fields(self):
-            convert = _FIELD_TYPES.get(f.type)
-            if convert is None:
-                continue
-            raw = getattr(self, f.name)
-            try:
-                value = convert(raw)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise InvalidPotential(f"{f.name}: {exc}") from None
-            if not np.all(np.isfinite(value)):
-                raise InvalidPotential(f"{f.name} must be finite, got {raw!r}")
-            object.__setattr__(self, f.name, value)
+        read_fields(self, InvalidPotential)
 
     def value(self, x: ArrayLike) -> ArrayLike:
         raise NotImplementedError
@@ -140,19 +134,74 @@ class Potential:
         return (hi - lo) * mean, np.abs(v).max(axis=1)
 
 
+def number(value) -> float:
+    """value as a float: 2 and 2.0 are numbers; True, "2.0" and None raise ValueError."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{value!r} is not a number")
+
+
 def integral(value) -> int:
-    """value as an int: 2 and 2.0 are integral; 2.7, inf, NaN and "2" raise ValueError."""
-    if isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer()):
+    """value as an int: 2 and 2.0 are integral; 2.7, inf, NaN, True and "2" raise ValueError."""
+    if number(value).is_integer():
         return int(value)
     raise ValueError(f"{value!r} is not an integer")
 
 
+def _floats(value) -> np.ndarray:
+    """value as a float array; each entry must be a number as number() reads it."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        return np.asarray(value, dtype=float)
+    # np.asarray would read True as 1.0 and "2" as 2.0
+    items = np.asarray(value, dtype=object)
+    return np.array([number(v) for v in items.flat], dtype=float).reshape(items.shape)
+
+
 # field conversions, keyed by annotation (a string: annotations are postponed)
 _FIELD_TYPES = {
-    "float": float,
+    "float": number,
     "int": integral,
-    "np.ndarray": functools.partial(np.asarray, dtype=float),
+    "np.ndarray": _floats,
 }
+
+
+def read_field(name: str, annotation: str, value, error: type[Exception]):
+    """value converted by annotation ("float", "int", "np.ndarray"); error names a bad or non-finite one."""
+    try:
+        converted = _FIELD_TYPES[annotation](value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{name}: {exc}") from None
+    # math.isfinite on scalars: a grid list reads one field per energy
+    if not (np.isfinite(converted).all() if isinstance(converted, np.ndarray) else math.isfinite(converted)):
+        raise error(f"{name} must be finite, got {value!r}")
+    return converted
+
+
+def read_fields(obj, error: type[Exception], where: str = "") -> None:
+    """read_field, in place, each float, int and np.ndarray field of obj; where prefixes names."""
+    for f in fields(obj):
+        if f.type in _FIELD_TYPES:
+            value = read_field(where + f.name, f.type, getattr(obj, f.name), error)
+            object.__setattr__(obj, f.name, value)
+
+
+def check_object(where: str, given, cls, extra: tuple[str, ...] = (), partial: bool = False) -> dict:
+    """A copy of the JSON object given, which names only fields of cls or extra.
+
+    Unless partial, it must also name every field of cls without a default.
+    A violation raises ConfigParseError naming where and the fields.
+    """
+    if not isinstance(given, dict):
+        raise ConfigParseError(f"{where} must be a JSON object, got {given!r}")
+    declared = fields(cls)
+    unknown = sorted(set(given) - {f.name for f in declared} - set(extra))
+    if unknown:
+        raise ConfigParseError(f"unknown {where} fields: {', '.join(unknown)}")
+    required = [f.name for f in declared if f.default is MISSING and f.default_factory is MISSING]
+    missing = [name for name in required if name not in given]
+    if missing and not partial:
+        raise ConfigParseError(f"{where} is missing field(s): {', '.join(missing)}")
+    return dict(given)
 
 
 # the 8-point Gauss-Legendre rule on [-1, 1], written out with the bits of
@@ -450,7 +499,7 @@ def truncated(p: Potential, tol: float) -> Potential:
     Potentials that already have exact compact support are returned unchanged.
     """
     if not 0.0 < tol < math.inf:
-        raise ValueError(f"truncate_tol must be positive and finite, got {tol!r}")
+        raise InvalidPotential(f"truncate_tol must be positive and finite, got {tol!r}")
     if p.exact_support:
         return p
     return Truncated(inner=p, radius=effective_support(p, tol))
@@ -493,33 +542,20 @@ def potential_from_config(cfg: dict, base_dir: str | Path = ".") -> Potential:
     if not isinstance(cfg, dict):
         raise ConfigParseError("potential config must be a JSON object")
     given = dict(cfg)
-    if "kind" not in given:
-        raise ConfigParseError("potential config is missing the 'kind' field")
-    kind = given.pop("kind")
+    kind = given.pop("kind", None)
     cls = _KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
-        known = ", ".join(sorted(_KINDS))
-        raise ConfigParseError(f"unknown potential kind {kind!r} (known: {known})")
+        raise ConfigParseError(f"potential kind must be one of {', '.join(sorted(_KINDS))}; got {kind!r}")
     tol = given.pop("truncate_tol", None)
     if cls is Sampled and "csv" in given:
         inline = [name for name in ("xs", "vs") if name in given]
         if inline:
             raise ConfigParseError(f"sampled potential gives both csv and {'/'.join(inline)}; give one")
         given.update(_read_samples(given.pop("csv"), Path(base_dir)))
-    declared = fields(cls)
-    unknown = sorted(set(given) - {f.name for f in declared})
-    if unknown:
-        raise ConfigParseError(f"unknown potential fields for kind {kind!r}: {', '.join(unknown)}")
-    missing = [f.name for f in declared if f.default is MISSING and f.name not in given]
-    if missing:
-        raise ConfigParseError(f"potential kind {kind!r} is missing field(s): {', '.join(missing)}")
-    p = cls(**given)
+    p = cls(**check_object(f"{kind} potential", given, cls))
     if tol is None:
         return p
-    try:
-        return truncated(p, float(tol))
-    except (TypeError, ValueError) as exc:
-        raise ConfigParseError(f"bad truncate_tol: {exc}") from None
+    return truncated(p, read_field("truncate_tol", "float", tol, ConfigParseError))
 
 
 def potential_from_json(text: str, base_dir: str | Path = ".") -> Potential:

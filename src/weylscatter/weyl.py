@@ -41,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NodeAtOrigin, OdeStepFailure, SpectralSingularity
-from .potential import Potential, effective_support
+from .errors import NodeAtOrigin, OdeStepFailure, SpectralSingularity, ValidationError
+from .potential import Potential, effective_support, read_fields
 
 # Extra integration length for potentials with decaying (inexact) tails, so the
 # plane-wave initialization sits below truncation_tol residue.  Potentials with
@@ -72,10 +72,11 @@ class SolverOptions:
     abs_ode_tol: float = 1e-12
 
     def __post_init__(self):
+        read_fields(self, ValidationError)
         for name in ("truncation_tol", "rel_ode_tol", "abs_ode_tol"):
             value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            if not value > 0.0:
+                raise ValidationError(f"{name} must be positive, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -435,8 +435,10 @@ def test_scan_unordered_grid_exits_2(grid, tmp_path, capsys):
         ({"lamda_grid": [1.0]}, "lamda_grid"),
         ({"output": {"fromat": "json"}}, "fromat"),
         ({"potential": {**BARRIER, "centre": 3.0}}, "centre"),
+        ({"solver": {"rel_ode_tol": 1e-10, "rel_tol": 1e-10}}, "rel_tol"),
+        ({"lambda_grid": {"min": 1.0, "max": 2.0, "count": 3, "step": 0.5}}, "step"),
     ],
-    ids=["top-level", "output", "potential"],
+    ids=["top-level", "output", "potential", "solver", "lambda_grid"],
 )
 def test_unknown_config_field_exits_2(fields, typo, tmp_path, capsys):
     # a misspelt lambda_grid used to run the default grid and exit 0, and a
@@ -622,3 +624,108 @@ def test_verify_reports_the_grid_failure_before_the_band_failure(tmp_path, monke
     err = capsys.readouterr().err
     assert f"forced at lambda={grid_lam!r}" in err, err
     assert repr(band_lam) not in err
+
+
+@pytest.mark.parametrize(
+    "packet, field",
+    [
+        ({"trace_stride": -1, "trace_path": "trace.csv"}, "trace_stride"),
+        ({"trace_path": "trace.csv"}, "trace_path"),
+        ({"trace_stride": 1}, "trace_stride"),
+        ({"trace_stride": 1, "trace_path": ""}, "trace_stride"),
+    ],
+    ids=["negative-stride", "path-without-stride", "stride-without-path", "stride-with-empty-path"],
+)
+def test_trace_fields_must_agree(packet, field, tmp_path, monkeypatch, capsys):
+    # the first two used to write a header-only trace and exit 0, the last
+    # two to compute a trace that nothing wrote
+    _, batches = _record_solves(monkeypatch, refuse=True)
+    if packet.get("trace_path"):
+        packet = dict(packet, trace_path=str(tmp_path / packet["trace_path"]))
+    cfg = write_config(tmp_path, "wp.json", {"potential": {"kind": "zero"}, "packet": packet})
+    out = tmp_path / "wp.csv"
+    assert main(["wavepacket", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and field in err, err
+    assert batches == [] and not out.exists() and not (tmp_path / "trace.csv").exists()
+
+
+# a valid description of every potential kind, whose fields are set one at a time
+KIND_FIELDS = {
+    "zero": {},
+    "square_barrier": {"height": 2.0, "half_width": 0.5},
+    "poschl_teller": {"nu": 2},
+    "gaussian": {"amplitude": 1.0, "sigma": 1.0},
+    "step": {"left_value": 0.0, "right_value": 1.0},
+    "sampled": {"xs": [-1.0, 0.0, 1.0], "vs": [0.0, 1.0, 0.0]},
+}
+
+
+def _schema_cases(value):
+    """(id, command, config, field) for each number a config can give, set to value.
+
+    The fields come from the dataclasses the config is read into, so a
+    numeric field added to any of them is covered here without an edit.
+    """
+    from dataclasses import fields
+
+    from weylscatter.cli import GridSpan, RunConfig
+    from weylscatter.dynamics import PacketSpec
+    from weylscatter.potential import _KINDS
+    from weylscatter.weyl import SolverOptions
+
+    def numeric(cls):
+        return [f.name for f in fields(cls) if f.type in ("float", "int", "np.ndarray")]
+
+    base = {"potential": BARRIER, "lambda_grid": [1.0, 2.0]}
+    grid = {"min": 1.0, "max": 2.0, "count": 3}
+    free = {"potential": {"kind": "zero"}}
+    cases = [(name, "reflect", {**base, name: value}, name) for name in numeric(RunConfig)]
+    cases += [
+        (f"lambda_grid.{name}", "reflect", {**base, "lambda_grid": {**grid, name: value}}, name)
+        for name in numeric(GridSpan)
+    ]
+    cases += [
+        (f"solver.{name}", "reflect", {**base, "solver": {name: value}}, name)
+        for name in numeric(SolverOptions)
+    ]
+    cases += [
+        (f"packet.{name}", "wavepacket", {**free, "packet": {name: value}}, name)
+        for name in numeric(PacketSpec) + ["trace_stride"]
+    ]
+    assert set(_KINDS) == set(KIND_FIELDS)
+    for kind, cls in _KINDS.items():
+        cases += [
+            (f"{kind}.{name}", "reflect", {**base, "potential": {"kind": kind, **KIND_FIELDS[kind], name: value}}, name)
+            for name in numeric(cls)
+        ]
+    pt = {"kind": "poschl_teller", "nu": 2, "truncate_tol": value}
+    sampled = {"kind": "sampled", "xs": [-1.0, value, 1.0], "vs": [0.0, 1.0, 0.0]}
+    cases += [
+        ("truncate_tol", "reflect", {**base, "potential": pt}, "truncate_tol"),
+        ("sampled.xs[1]", "reflect", {**base, "potential": sampled}, "xs"),
+        ("lambda_grid[1]", "reflect", {**base, "lambda_grid": [1.0, value]}, "lambda_grid[1]"),
+    ]
+    return cases
+
+
+SCHEMA_CASES = [
+    pytest.param(command, config, field, id=f"{case}={json.dumps(value)}")
+    for value in (True, "2.0")
+    for case, command, config, field in _schema_cases(value)
+]
+
+
+@pytest.mark.parametrize("command, config, field", SCHEMA_CASES)
+def test_non_number_in_numeric_field_exits_2(command, config, field, tmp_path, monkeypatch, capsys):
+    # float(True) is 1.0 and float("2.0") is 2.0: a JSON true used to run as
+    # 1 (s_threshold true printed reflect_prob 1 for the barrier at lambda = 1,
+    # truncate_tol true cut PT nu=2 at tolerance 1), and a numeric string as
+    # its number wherever a float was read
+    _, batches = _record_solves(monkeypatch, refuse=True)
+    cfg = write_config(tmp_path, "schema.json", config)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and field in err, err
+    assert batches == [] and not out.exists()

@@ -203,3 +203,12 @@ def test_not_converged_at_short_t_max():
     )
     with pytest.raises(NotConverged):
         evolve_packet(Zero(), spec)
+
+
+def test_packet_spec_reads_fields_by_annotation():
+    fields = dict(x0=-40, k0=2.0, sigma_x=4.0, half_length=120, dt=0.005, t_max=10)
+    spec = PacketSpec(n_points=4096.0, **fields)
+    assert spec.n_points == 4096 and isinstance(spec.n_points, int)
+    for value in (True, "4096", 4096.5):
+        with pytest.raises(ValueError, match="n_points"):
+            PacketSpec(n_points=value, **fields)

@@ -305,3 +305,11 @@ def test_model_validation():
         LatticeModel(n=2, h=0.1, v=[-1.0] * 5, z=-0.5)  # real z not below min(v)
     with pytest.raises(ValueError):
         lattice_model_from_potential(SquareBarrier(height=2.0, half_width=0.5), 10, 0.05, -1.0)
+
+
+def test_model_refuses_non_integral_size():
+    # n = 3.5 used to be accepted, with 2n + 1 = 8 samples
+    with pytest.raises(ValueError, match="^n: "):
+        LatticeModel(n=3.5, h=0.1, v=[0.0] * 8, z=-1.0)
+    with pytest.raises(ValueError, match="^h: "):
+        LatticeModel(n=3, h=True, v=[0.0] * 7, z=-1.0)

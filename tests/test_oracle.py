@@ -169,3 +169,11 @@ def test_many_slabs_small_memory():
     # 74 339 slabs: one momenta x slabs float array alone would take 9 MiB
     assert res[0].slab_count == 74339
     assert peak < 3 * 2**20
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf])
+def test_non_finite_momentum_refused(k):
+    # ks <= 0 is False for NaN, so a NaN or infinite momentum used to end in
+    # EvanescentOverflow, which blamed the slab
+    with pytest.raises(ValueError, match=rf"momenta must be positive and finite, got .*{k!r}"):
+        transfer_reflection_grid(SquareBarrier(height=2.0, half_width=0.5), [1.0, k], 0.01)

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,16 +11,20 @@ from weylscatter import (
     GaussianBump,
     InvalidPotential,
     PoschlTeller,
+    Potential,
     Sampled,
     SquareBarrier,
     Step,
     Truncated,
+    UnboundedTail,
     Zero,
     effective_support,
     potential_from_config,
     potential_from_json,
+    sweep,
     truncated,
 )
+from weylscatter.potential import integral, number
 
 LIBRARY = [
     Zero(),
@@ -331,3 +336,38 @@ def test_config_json_text_roundtrip():
     assert isinstance(p, GaussianBump)
     with pytest.raises(ConfigParseError):
         potential_from_json("{not json")
+
+
+@dataclass(frozen=True, eq=False)
+class _EndlessTail(Potential):
+    """A potential that claims no finite truncation radius at any tolerance."""
+
+    def value(self, x):
+        raise AssertionError("V evaluated")
+
+    @property
+    def lower_bound(self):
+        return 0.0
+
+    def tolerance_radius(self, tol):
+        return math.inf
+
+
+def test_unbounded_tail_is_refused():
+    with pytest.raises(UnboundedTail):
+        effective_support(_EndlessTail(), 1e-6)
+    # every attempt pass evaluates V, so value() raising AssertionError would
+    # show a pass made before the refusal
+    with pytest.raises(UnboundedTail):
+        sweep(_EndlessTail(), [1.0, 2.0])
+
+
+def test_reader_refuses_bools_and_strings():
+    for value in (True, "2.0", None):
+        with pytest.raises(InvalidPotential, match="height"):
+            SquareBarrier(height=value, half_width=0.5)
+    with pytest.raises(InvalidPotential, match="nu"):
+        PoschlTeller(nu=True)
+    with pytest.raises(InvalidPotential, match="vs"):
+        Sampled(xs=[-1.0, 0.0, 1.0], vs=[0.0, True, 0.0])
+    assert number(np.float32(0.5)) == 0.5 and integral(np.int64(3)) == 3
