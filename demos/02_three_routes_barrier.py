@@ -28,10 +28,12 @@ def main():
 
     print(f"square barrier, height {HEIGHT}, total width {2*HALF_WIDTH}")
     print("lambda   |s_ll|^2 (m-functions)   |r|^2 (transfer)    closed form   spread")
-    for lam, res, (m_l, m_r) in zip(grid, oracle, boundary_pairs(p, grid)):
-        s = scattering_matrix(float(lam), m_l, m_r)
-        rec = spectral_reflection(float(lam), m_l, m_r)
-        routes = [abs(s.s_ll) ** 2, res.reflect_prob]
+    m_l, m_r = boundary_pairs(p, grid)
+    s = scattering_matrix(grid, m_l, m_r)
+    rec = spectral_reflection(grid, m_l, m_r)
+    assert np.all(np.abs(s.s_ll - rec.r_spectral) < 1e-10)  # same object, two formulas
+    for lam, s_ll, res in zip(grid, s.s_ll, oracle):
+        routes = [abs(s_ll) ** 2, res.reflect_prob]
         try:
             closed, _ = closed_form_barrier(float(lam), HEIGHT, 2 * HALF_WIDTH)
             routes.append(closed)
@@ -40,10 +42,9 @@ def main():
             closed_str = "   (E = V0)   "
         spread = max(routes) - min(routes)
         print(
-            f"{lam:6.2f}   {abs(s.s_ll)**2:.12f}         {res.reflect_prob:.12f}    "
+            f"{lam:6.2f}   {abs(s_ll)**2:.12f}         {res.reflect_prob:.12f}    "
             f"{closed_str}   {spread:.1e}"
         )
-        assert abs(s.s_ll - rec.r_spectral) < 1e-10  # same object, two formulas
 
     print("\nunitarity of s(lambda) holds identically; the diagonal moduli agree,")
     print("so incidence from the left and from the right reflect equally.")

@@ -23,12 +23,8 @@ def main():
         p = PoschlTeller(nu=nu)
         print(f"== V(x) = -{nu*(nu+1)} sech^2(x) ==")
         oracle = transfer_reflection_grid(p, np.sqrt(grid), 0.004)
-        worst_spec = 0.0
-        worst_tm = 0.0
-        for lam, (m_l, m_r), res in zip(grid, boundary_pairs(p, grid), oracle):
-            rec = spectral_reflection(float(lam), m_l, m_r)
-            worst_spec = max(worst_spec, rec.reflect_prob)
-            worst_tm = max(worst_tm, res.reflect_prob)
+        worst_spec = np.max(spectral_reflection(grid, *boundary_pairs(p, grid)).reflect_prob)
+        worst_tm = max(res.reflect_prob for res in oracle)
         print(f"  max spectral reflect_prob over {len(grid)} energies: {worst_spec:.3e}")
         print(f"  max transfer   |r|^2      over {len(grid)} energies: {worst_tm:.3e}")
 

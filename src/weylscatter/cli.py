@@ -23,7 +23,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +36,7 @@ from .scattering import (
     DEFAULT_SUPPORT_THRESHOLD,
     boundary_pairs,
     green00,
+    modulus,
     scattering_matrix,
     spectral_reflection,
     reflectionless_scan,
@@ -173,7 +173,7 @@ def load_config(
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -182,75 +182,59 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def render_csv(fields: list[str], rows: list[dict]) -> str:
-    lines = [",".join(fields)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[f]) for f in fields))
+def render_csv(columns: dict) -> str:
+    """columns, {header: column of equal length}, as CSV rows under a header row."""
+    lines = [",".join(columns)]
+    lines += (",".join(map(_fmt, row)) for row in zip(*columns.values(), strict=True))
     return "\n".join(lines) + "\n"
 
 
-def render_json(fields: list[str], rows: list[dict]) -> str:
-    ordered = [{f: row[f] for f in fields} for row in rows]
-    return json.dumps(ordered, indent=2) + "\n"
+def render_json(columns: dict) -> str:
+    """columns, {header: column of equal length}, as a JSON list of row objects."""
+    rows = [dict(zip(columns, row)) for row in zip(*columns.values(), strict=True)]
+    # numpy booleans and integers are no JSON types; numpy floats are floats
+    return json.dumps(rows, indent=2, default=lambda value: value.item()) + "\n"
 
 
 def _cmd_mfunction(config: RunConfig):
-    fields = ["lambda", "side", "m_re", "m_im", "err"]
-    m_l, m_r, err_l, err_r = sweep(config.potential, config.lambda_grid, config.solver)
-    rows = []
-    for lam, ml, mr, el, er in zip(config.lambda_grid, m_l, m_r, err_l, err_r):
-        for side, m, err in (("left", ml, el), ("right", mr, er)):
-            rows.append(
-                {
-                    "lambda": float(lam),
-                    "side": side,
-                    "m_re": float(m.real),
-                    "m_im": float(m.imag),
-                    "err": float(err),
-                }
-            )
-    return fields, rows
+    grid = config.lambda_grid
+    m_l, m_r, err_l, err_r = sweep(config.potential, grid, config.solver)
+    m = np.stack([m_l, m_r], axis=1).ravel()  # rows left, right at each energy
+    return {
+        "lambda": np.repeat(grid, 2),
+        "side": ["left", "right"] * len(grid),
+        "m_re": m.real,
+        "m_im": m.imag,
+        "err": np.stack([err_l, err_r], axis=1).ravel(),
+    }
 
 
 def _cmd_scatter(config: RunConfig):
-    fields = ["lambda"]
+    grid = config.lambda_grid
+    s = scattering_matrix(grid, *boundary_pairs(config.potential, grid, config.solver))
+    columns = {"lambda": grid}
     for name in ("s_ll", "s_lr", "s_rl", "s_rr"):
-        fields += [f"{name}_re", f"{name}_im"]
-    fields.append("unitarity_residual")
-    rows = []
-    pairs = boundary_pairs(config.potential, config.lambda_grid, config.solver)
-    for lam, (m_l, m_r) in zip(config.lambda_grid, pairs):
-        s = scattering_matrix(float(lam), m_l, m_r)
-        row = {"lambda": float(lam), "unitarity_residual": s.unitarity_residual()}
-        for name in ("s_ll", "s_lr", "s_rl", "s_rr"):
-            entry = getattr(s, name)
-            row[f"{name}_re"] = entry.real
-            row[f"{name}_im"] = entry.imag
-        rows.append(row)
-    return fields, rows
+        entry = getattr(s, name)
+        columns[f"{name}_re"] = entry.real
+        columns[f"{name}_im"] = entry.imag
+    columns["unitarity_residual"] = s.unitarity_residual()
+    return columns
 
 
 def _cmd_reflect(config: RunConfig):
-    fields = ["lambda", "reflect_prob", "transmit_prob", "in_S_l", "in_S_r", "err"]
-    rows = []
-    pairs = boundary_pairs(config.potential, config.lambda_grid, config.solver)
-    for lam, (m_l, m_r) in zip(config.lambda_grid, pairs):
-        rec = spectral_reflection(float(lam), m_l, m_r, config.s_threshold)
-        rows.append(
-            {
-                "lambda": float(lam),
-                "reflect_prob": rec.reflect_prob,
-                "transmit_prob": rec.transmit_prob,
-                "in_S_l": rec.in_S_l,
-                "in_S_r": rec.in_S_r,
-                "err": rec.err_estimate,
-            }
-        )
-    return fields, rows
+    grid = config.lambda_grid
+    rec = spectral_reflection(grid, *boundary_pairs(config.potential, grid, config.solver), config.s_threshold)
+    return {
+        "lambda": grid,
+        "reflect_prob": rec.reflect_prob,
+        "transmit_prob": rec.transmit_prob,
+        "in_S_l": rec.in_S_l,
+        "in_S_r": rec.in_S_r,
+        "err": rec.err_estimate,
+    }
 
 
 def _cmd_scan(config: RunConfig):
-    fields = ["lam_min", "lam_max", "max_reflect_prob"]
     windows = reflectionless_scan(
         config.potential,
         config.lambda_grid,
@@ -258,15 +242,7 @@ def _cmd_scan(config: RunConfig):
         config.s_threshold,
         config.zero_tol,
     )
-    rows = [
-        {
-            "lam_min": w.lam_min,
-            "lam_max": w.lam_max,
-            "max_reflect_prob": w.max_reflect_prob,
-        }
-        for w in windows
-    ]
-    return fields, rows
+    return {name: [getattr(w, name) for w in windows] for name in ("lam_min", "lam_max", "max_reflect_prob")}
 
 
 def auto_packet(p: Potential, overrides: dict) -> tuple[PacketSpec, int, str | None]:
@@ -331,54 +307,43 @@ def _planned_packet(config: RunConfig) -> tuple[PacketSpec, int, str | None, Inc
     return spec, trace_stride, trace_path, incident_band(spec)
 
 
-def _solve_together(config: RunConfig, *energy_sets) -> list[list[tuple[MValue, MValue]]]:
-    """Boundary m-value pairs for each energy set, from one sweep over them all.
+def _solve_together(config: RunConfig, *energy_sets) -> list[tuple[MValue, MValue]]:
+    """The (left, right) boundary m-value columns of each energy set, from one sweep over them all.
 
     A sweep makes as many attempt passes as its slowest lane needs, each pass
     one DOP853 step of every running lane in a fixed set of numpy calls
     whatever the lane count, and pays per-lane arithmetic while a lane runs
-    and, parked, until half its batch is done, so one sweep over the
+    and, parked, until half its batch is done.  So one sweep over the
     concatenation makes fewer numpy calls than one per set, though not always
-    less arithmetic, and every lane comes out as it would alone.  A failure reports the first failing energy in the order
-    the sets are given.
+    less arithmetic, and every lane comes out as it would alone.  A failure
+    reports the first failing energy in the order the sets are given.
     """
     grid = np.concatenate([np.asarray(energies, dtype=float) for energies in energy_sets])
-    pairs = iter(boundary_pairs(config.potential, grid, config.solver))
-    return [list(islice(pairs, len(energies))) for energies in energy_sets]
+    m_l, m_r = boundary_pairs(config.potential, grid, config.solver)
+    sizes = [len(energies) for energies in energy_sets]
+    return [(m_l[stop - size : stop], m_r[stop - size : stop]) for size, stop in zip(sizes, np.cumsum(sizes))]
 
 
 def _cmd_wavepacket(config: RunConfig):
     spec, trace_stride, trace_path, band = _planned_packet(config)
-    (band_pairs,) = _solve_together(config, band.lams)
+    (band_pair,) = _solve_together(config, band.lams)
     result = evolve_packet(config.potential, spec, trace_stride=trace_stride)
-    fields = ["left_mass", "right_mass", "norm_drift", "predicted_reflect", "t_stop"]
-    rows = [
-        {
-            "left_mass": result.left_mass,
-            "right_mass": result.right_mass,
-            "norm_drift": result.norm_drift,
-            "predicted_reflect": band_reflection(band, band_pairs, config.s_threshold),
-            "t_stop": result.t_stop,
-        }
-    ]
-    if trace_path:
-        trace_fields = ["t", "left_mass", "right_mass", "interaction_mass"]
-        trace_rows = [
-            {"t": t, "left_mass": lm, "right_mass": rm, "interaction_mass": im}
-            for (t, lm, rm, im) in result.trace
-        ]
-        _write_artifact(trace_path, render_csv(trace_fields, trace_rows))
-    return fields, rows
-
-
-def _verify_row(check: str, detail: str, residual: float, tolerance: float) -> dict:
-    return {
-        "check": check,
-        "detail": detail,
-        "residual": float(residual),
-        "tolerance": float(tolerance),
-        "status": "pass" if residual <= tolerance else "fail",
+    columns = {
+        "left_mass": [result.left_mass],
+        "right_mass": [result.right_mass],
+        "norm_drift": [result.norm_drift],
+        "predicted_reflect": [band_reflection(band, band_pair, config.s_threshold)],
+        "t_stop": [result.t_stop],
     }
+    if trace_path:
+        trace_fields = ("t", "left_mass", "right_mass", "interaction_mass")
+        trace = np.reshape(result.trace, (-1, len(trace_fields))).T
+        _write_artifact(trace_path, render_csv(dict(zip(trace_fields, trace))))
+    return columns
+
+
+def _verify_row(check: str, detail: str, residual: float, tolerance: float) -> tuple:
+    return check, detail, float(residual), float(tolerance), "pass" if residual <= tolerance else "fail"
 
 
 def _cmd_verify(config: RunConfig):
@@ -399,39 +364,27 @@ def _cmd_verify(config: RunConfig):
         spec, _, _, band = _planned_packet(config)
         band_lams = band.lams
     z_cont = min(-1.0, p.lower_bound - 1.0)
-    grid_pairs, band_pairs, (cont_pair,) = _solve_together(config, grid, band_lams, [z_cont])
+    grid_pair, band_pair, cont_pair = _solve_together(config, grid, band_lams, [z_cont])
 
-    identity_res = 0.0
-    unitarity_res = 0.0
-    diag_res = 0.0
-    spectral = []
-    for lam, (m_l, m_r) in zip(grid, grid_pairs):
-        s = scattering_matrix(float(lam), m_l, m_r)
-        rec = spectral_reflection(float(lam), m_l, m_r, config.s_threshold)
-        if rec.in_S_l:
-            identity_res = max(identity_res, abs(s.s_ll - rec.r_spectral))
-        unitarity_res = max(unitarity_res, s.unitarity_residual())
-        diag_res = max(diag_res, abs(abs(s.s_ll) - abs(s.s_rr)))
-        spectral.append(rec.reflect_prob)
-
+    s = scattering_matrix(grid, *grid_pair)
+    rec = spectral_reflection(grid, *grid_pair, config.s_threshold)
+    identity_res = np.max(modulus(s.s_ll - rec.r_spectral), where=rec.in_S_l, initial=0.0)
+    diag_res = np.max(np.abs(modulus(s.s_ll) - modulus(s.s_rr)))
     rows = [
         _verify_row("s_matrix_identity", "max |s_ll - R_l| over grid", identity_res, 1e-10),
-        _verify_row("s_matrix_unitarity", "max |s s* - I| over grid", unitarity_res, 1e-8),
+        _verify_row("s_matrix_unitarity", "max |s s* - I| over grid", np.max(s.unitarity_residual()), 1e-8),
         _verify_row("s_matrix_diagonal", "max ||s_ll| - |s_rr|| over grid", diag_res, 1e-10),
     ]
 
     if zero_tails and np.all(grid > 0):
         ks = np.sqrt(grid)
         oracle = transfer_reflection_grid(p, ks, config.slab_width, config.solver.truncation_tol)
-        gap = max(
-            abs(rec_reflect - res.reflect_prob)
-            for rec_reflect, res in zip(spectral, oracle)
-        )
+        gap = np.max(np.abs(rec.reflect_prob - [res.reflect_prob for res in oracle]))
         rows.append(_verify_row("spectral_vs_oracle", "max |R^2 - |r|^2| over grid", gap, 1e-6))
 
     if zero_tails:
         packet = evolve_packet(p, spec)
-        predicted = band_reflection(band, band_pairs, config.s_threshold)
+        predicted = band_reflection(band, band_pair, config.s_threshold)
         rows.append(
             _verify_row(
                 "dynamical_vs_spectral",
@@ -465,7 +418,7 @@ def _cmd_verify(config: RunConfig):
         _verify_row("lattice_coefficient", "max |c - 1/G00| over 5 random z", coeff_worst, 1e-8)
     )
     model = lattice_model_from_potential(p, n, h, complex(z_cont))
-    report = resolvent_difference_check(model, green00(cont_pair[0].m, cont_pair[1].m))
+    report = resolvent_difference_check(model, green00(cont_pair[0].m[0], cont_pair[1].m[0]))
     rows.append(
         _verify_row(
             "lattice_continuum_g00",
@@ -474,8 +427,7 @@ def _cmd_verify(config: RunConfig):
             1e-2,
         )
     )
-    fields = ["check", "detail", "residual", "tolerance", "status"]
-    return fields, rows
+    return dict(zip(("check", "detail", "residual", "tolerance", "status"), zip(*rows)))
 
 
 _COMMANDS = {
@@ -492,11 +444,11 @@ COMMANDS = tuple(_COMMANDS)
 def run(config: RunConfig) -> int:
     """Execute one configured command; returns the process exit status."""
     try:
-        fields, rows = _COMMANDS[config.command](config)
+        columns = _COMMANDS[config.command](config)
         if config.output.format == "json":
-            payload = render_json(fields, rows)
+            payload = render_json(columns)
         else:
-            payload = render_csv(fields, rows)
+            payload = render_csv(columns)
         if config.output.path:
             _write_artifact(config.output.path, payload)
         else:

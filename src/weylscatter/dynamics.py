@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryLeak, InvalidPacket, NotConverged
-from .potential import Potential, effective_support, read_fields
+from .potential import Potential, effective_support, read_field, read_fields
 from .scattering import DEFAULT_SUPPORT_THRESHOLD, boundary_pairs, spectral_reflection
 from .weyl import MValue, SolverOptions
 
@@ -131,9 +131,11 @@ class SplitStepPropagator:
     """
 
     def __init__(self, p: Potential, half_length: float, n_points: int, dt: float):
-        self.half_length = float(half_length)
-        self.n_points = int(n_points)
-        self.dt = float(dt)
+        self.half_length = read_field("half_length", "float", half_length, InvalidPacket)
+        self.n_points = read_field("n_points", "int", n_points, InvalidPacket)
+        self.dt = read_field("dt", "float", dt, InvalidPacket)
+        if not (self.half_length > 0 and self.n_points > 0 and self.dt > 0):
+            raise InvalidPacket("half_length, n_points and dt must be positive")
         self.x, self.dx, self.k = _grid(self.half_length, self.n_points)
         self.v = self._cell_averaged(p)
         n1 = _split_rows(self.n_points)
@@ -284,15 +286,18 @@ def incident_band(spec: PacketSpec) -> IncidentBand:
 
 def band_reflection(
     band: IncidentBand,
-    pairs: list[tuple[MValue, MValue]],
+    pair: tuple[MValue, MValue],
     s_threshold: float = DEFAULT_SUPPORT_THRESHOLD,
 ) -> float:
-    """Momentum-density average of |R(k^2)|^2 from the boundary m-values at band.lams."""
-    total = 0.0
-    for lam, rho, (m_l, m_r) in zip(band.lams, band.density, pairs, strict=True):
-        rec = spectral_reflection(lam, m_l, m_r, s_threshold)
-        total += rec.reflect_prob * rho * band.dk
-    return float(total)
+    """Momentum-density average of |R(k^2)|^2 from the (left, right) boundary
+    m-value columns at band.lams.
+
+    The terms are added in band order, from 0.0, one after the other, as a
+    loop adds them; np.sum adds pairwise, which would move the last bits.
+    """
+    rec = spectral_reflection(band.lams, *pair, s_threshold)
+    terms = rec.reflect_prob * band.density * band.dk
+    return float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1])
 
 
 def predicted_reflection(

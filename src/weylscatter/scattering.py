@@ -13,6 +13,14 @@ and the reflection coefficient for incidence from the left is
 which coincides with s_ll identically.  Tiny negative imaginary parts (solver
 noise) are clamped to zero before square roots; the clamped values feed every
 formula so unitarity survives exactly.
+
+The algebra is elementwise: given MValue columns over an energy grid, as
+`boundary_pairs` returns them, every result is a column over the grid, and
+given scalar MValues, a numpy scalar.  Moduli are taken by libm's hypot and
+squares by libm's pow, as Python's abs(complex) and ** take them, so each
+entry of a column has the bits of the same formula in Python complex
+arithmetic, except that numpy's complex quotient -1 / (m_l + m_r) may round
+the entries of s differently, by an ulp.
 """
 from __future__ import annotations
 
@@ -30,34 +38,37 @@ _RESONANT_EPS = 1e-14
 
 @dataclass(frozen=True)
 class ScatteringMatrix2:
-    """The 2x2 scattering matrix at one energy, channels ordered (left, right)."""
+    """The 2x2 scattering matrix at each energy of lam, channels ordered (left, right)."""
 
-    lam: float
-    s_ll: complex
-    s_lr: complex
-    s_rl: complex
-    s_rr: complex
+    lam: np.ndarray
+    s_ll: np.ndarray
+    s_lr: np.ndarray
+    s_rl: np.ndarray
+    s_rr: np.ndarray
 
     def as_matrix(self) -> np.ndarray:
-        return np.array([[self.s_ll, self.s_lr], [self.s_rl, self.s_rr]])
+        """The matrices stacked along the last two axes, shape lam.shape + (2, 2)."""
+        entries = np.stack(np.broadcast_arrays(self.s_ll, self.s_lr, self.s_rl, self.s_rr), axis=-1)
+        return entries.reshape(entries.shape[:-1] + (2, 2))
 
-    def unitarity_residual(self) -> float:
+    def unitarity_residual(self) -> np.ndarray:
+        """max |s s* - I| over the entries, at each energy."""
         s = self.as_matrix()
-        return float(np.max(np.abs(s @ s.conj().T - np.eye(2))))
+        gap = s @ np.conj(np.swapaxes(s, -1, -2)) - np.eye(2)
+        return np.max(modulus(gap), axis=(-2, -1))
 
 
 @dataclass(frozen=True)
 class ReflectionRecord:
-    """Per-energy reflection/transmission bundle."""
+    """Reflection/transmission at each energy of lam."""
 
-    lam: float
-    g00: complex
-    r_spectral: complex
-    reflect_prob: float
-    transmit_prob: float
-    in_S_l: bool
-    in_S_r: bool
-    err_estimate: float
+    lam: np.ndarray
+    r_spectral: np.ndarray
+    reflect_prob: np.ndarray
+    transmit_prob: np.ndarray
+    in_S_l: np.ndarray
+    in_S_r: np.ndarray
+    err_estimate: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -69,28 +80,44 @@ class ReflectionlessWindow:
     max_reflect_prob: float
 
 
-def green00(m_l: complex, m_r: complex) -> complex:
-    """Diagonal Green function at the origin, -1/(m_l + m_r)."""
-    denom = m_l + m_r
-    if abs(denom) < _RESONANT_EPS:
+def modulus(z) -> np.ndarray:
+    """|z| elementwise by libm's hypot, the function abs(complex) uses.
+
+    numpy's complex abs rounds differently in the last bit.
+    """
+    return np.hypot(np.real(z), np.imag(z))
+
+
+def green00(m_l, m_r) -> np.ndarray:
+    """Diagonal Green function at the origin, -1/(m_l + m_r).
+
+    Raises ResonantDenominator naming the first entry where |m_l + m_r|
+    falls below _RESONANT_EPS.
+    """
+    denom = np.add(m_l, m_r)
+    resonant = np.ravel(modulus(denom) < _RESONANT_EPS)
+    if resonant.any():
+        i = int(np.argmax(resonant))
         raise ResonantDenominator(
-            f"m_l + m_r = {denom}: pole of the diagonal Green function"
+            f"m_l + m_r = {complex(np.ravel(denom)[i])} at entry {i}: pole of the diagonal Green function"
         )
     return -1.0 / denom
 
 
-def _clamped(m: complex) -> tuple[complex, float]:
-    im = max(m.imag, 0.0)
-    return complex(m.real, im), im
+def _clamped(m) -> tuple[np.ndarray, np.ndarray]:
+    """m with Im m clamped at 0, and the clamped Im m."""
+    clamped = np.array(m, dtype=complex)
+    clamped.imag = np.maximum(clamped.imag, 0.0)
+    return clamped, clamped.imag
 
 
-def _reflection_coefficient(m_l: complex, m_r: complex) -> complex:
+def _reflection_coefficient(m_l, m_r):
     """R_l from the two boundary m-values; no clamping, no thresholds."""
     return (m_r + np.conj(m_l)) / (m_r + m_l)
 
 
-def scattering_matrix(lam: float, m_l: MValue, m_r: MValue) -> ScatteringMatrix2:
-    """Assemble s(lambda) from boundary m-values at the same energy.
+def scattering_matrix(lam, m_l: MValue, m_r: MValue) -> ScatteringMatrix2:
+    """Assemble s(lambda) from boundary m-values at the same energies.
 
     Entries for a side whose Im m vanishes reduce to the identity row and
     column: that channel carries no a.c. spectrum at this energy.
@@ -98,71 +125,63 @@ def scattering_matrix(lam: float, m_l: MValue, m_r: MValue) -> ScatteringMatrix2
     ml, bl = _clamped(m_l.m)
     mr, br = _clamped(m_r.m)
     g = green00(ml, mr)
-    root = np.sqrt(bl * br)
-    s_ll = 1.0 + 2j * g * bl
-    s_rr = 1.0 + 2j * g * br
-    s_off = 2j * g * root
-    return ScatteringMatrix2(lam=float(lam), s_ll=s_ll, s_lr=s_off, s_rl=s_off, s_rr=s_rr)
+    s_off = 2j * g * np.sqrt(bl * br)
+    return ScatteringMatrix2(
+        lam=np.asarray(lam, dtype=float)[()],
+        s_ll=1.0 + 2j * g * bl,
+        s_lr=s_off,
+        s_rl=s_off,
+        s_rr=1.0 + 2j * g * br,
+    )
 
 
 def spectral_reflection(
-    lam: float,
+    lam,
     m_l: MValue,
     m_r: MValue,
     s_threshold: float = DEFAULT_SUPPORT_THRESHOLD,
 ) -> ReflectionRecord:
-    """Reflection record at lambda for incidence from the left.
+    """Reflection at each energy of lam for incidence from the left.
 
     Membership in the essential supports S_l / S_r is decided by thresholding
     Im m against s_threshold.  Off S_l the convention is total reflection:
     r = 1, transmit = 0.
     """
-    in_S_l = m_l.m.imag > s_threshold
-    in_S_r = m_r.m.imag > s_threshold
+    in_S_l = np.imag(m_l.m) > s_threshold
     ml, _ = _clamped(m_l.m)
     mr, _ = _clamped(m_r.m)
-    g = green00(ml, mr)
-    err = (m_l.err_estimate + m_r.err_estimate) * (1.0 + 2.0 / abs(ml + mr))
-    if in_S_l:
-        r = complex(_reflection_coefficient(ml, mr))
-        reflect = min(abs(r) ** 2, 1.0)
-        transmit = 1.0 - reflect
-    else:
-        r = 1.0 + 0.0j
-        reflect = 1.0
-        transmit = 0.0
+    green00(ml, mr)  # refuses a resonant energy
+    r = np.where(in_S_l, _reflection_coefficient(ml, mr), 1.0 + 0.0j)
+    # float_power squares by libm's pow; numpy's ** 2 is x * x, which rounds
+    # differently for about one value in 1200
+    reflect = np.where(in_S_l, np.minimum(np.float_power(modulus(r), 2.0), 1.0), 1.0)
     return ReflectionRecord(
-        lam=float(lam),
-        g00=g,
-        r_spectral=r,
-        reflect_prob=reflect,
-        transmit_prob=transmit,
+        lam=np.asarray(lam, dtype=float)[()],
+        r_spectral=r[()],
+        reflect_prob=reflect[()],
+        transmit_prob=(1.0 - reflect)[()],
         in_S_l=in_S_l,
-        in_S_r=in_S_r,
-        err_estimate=err,
+        in_S_r=np.imag(m_r.m) > s_threshold,
+        err_estimate=(m_l.err_estimate + m_r.err_estimate) * (1.0 + 2.0 / modulus(ml + mr)),
     )
 
 
 def boundary_pairs(
     p: Potential, grid, opts: SolverOptions | None = None
-) -> list[tuple[MValue, MValue]]:
-    """Both boundary m-values at every energy of grid, from one batched sweep."""
+) -> tuple[MValue, MValue]:
+    """Both boundary m-values over grid, as a (left, right) pair of columns from one sweep."""
     grid = np.asarray(grid, dtype=float)
     m_l, m_r, err_l, err_r = sweep(p, grid, opts)
-    return [
-        (
-            MValue(side="left", z=complex(lam, 0.0), m=complex(ml), err_estimate=float(el)),
-            MValue(side="right", z=complex(lam, 0.0), m=complex(mr), err_estimate=float(er)),
-        )
-        for lam, ml, mr, el, er in zip(grid.tolist(), m_l, m_r, err_l, err_r)
-    ]
+    z = grid + 0j
+    return MValue("left", z, m_l, err_l), MValue("right", z, m_r, err_r)
 
 
 def boundary_pair(
     p: Potential, lam: float, opts: SolverOptions | None = None
 ) -> tuple[MValue, MValue]:
     """Both boundary m-values at lambda."""
-    return boundary_pairs(p, [float(lam)], opts)[0]
+    m_l, m_r = boundary_pairs(p, [float(lam)], opts)
+    return m_l[0], m_r[0]
 
 
 def reflectionless_scan(
@@ -182,21 +201,10 @@ def reflectionless_scan(
         raise ValidationError("grid must be a nonempty 1D sequence")
     if not np.all(np.diff(grid) > 0):
         raise ValidationError("grid must be strictly increasing")
-    windows: list[ReflectionlessWindow] = []
-    start = None
-    worst = 0.0
-    for lam, (m_l, m_r) in zip(grid, boundary_pairs(p, grid, opts)):
-        rec = spectral_reflection(lam, m_l, m_r, s_threshold)
-        if rec.reflect_prob <= zero_tol:
-            if start is None:
-                start = lam
-                worst = rec.reflect_prob
-            else:
-                worst = max(worst, rec.reflect_prob)
-            last = lam
-        elif start is not None:
-            windows.append(ReflectionlessWindow(float(start), float(last), float(worst)))
-            start = None
-    if start is not None:
-        windows.append(ReflectionlessWindow(float(start), float(last), float(worst)))
-    return windows
+    rec = spectral_reflection(grid, *boundary_pairs(p, grid, opts), s_threshold)
+    zero = (rec.reflect_prob <= zero_tol).astype(np.int8)
+    edges = np.diff(zero, prepend=0, append=0)
+    return [
+        ReflectionlessWindow(float(grid[a]), float(grid[b - 1]), float(np.max(rec.reflect_prob[a:b])))
+        for a, b in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1))
+    ]

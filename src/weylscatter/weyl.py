@@ -81,12 +81,17 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class MValue:
-    """A single m-function evaluation with its error estimate."""
+    """m-function values on one side with their error estimates: scalars at
+    one z, or equal-length columns over several."""
 
     side: str
     z: complex
     m: complex
     err_estimate: float
+
+    def __getitem__(self, index) -> MValue:
+        """The entry, or the columns, at index of a column MValue."""
+        return MValue(self.side, self.z[index], self.m[index], self.err_estimate[index])
 
 
 # Dormand-Prince 8(5,3) coefficients, DOP853 (Hairer, Norsett & Wanner, Solving
@@ -622,8 +627,7 @@ def _m_halfline(side: str, p: Potential, z: complex, opts: SolverOptions, rtol: 
 def interior_m(side: str, p: Potential, z: complex, opts: SolverOptions | None = None) -> MValue:
     """Weyl m-function at z with Im z > 0.
 
-    The error estimate bounds the observed change of the result when the
-    relative ODE tolerance is halved.
+    The error estimate is the change of m when the ODE tolerances are halved.
     """
     opts = opts or SolverOptions()
     z = complex(z)

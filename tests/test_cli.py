@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from weylscatter import ConfigParseError
-from weylscatter.cli import MAX_GRID_COUNT, load_config, main, render_csv
+from weylscatter.cli import MAX_GRID_COUNT, load_config, main, render_csv, render_json
 
 
 def write_config(tmp_path, name, payload):
@@ -501,8 +501,12 @@ def test_load_config_validation(tmp_path):
 
 
 def test_render_csv_formats():
-    text = render_csv(["a", "b", "c"], [{"a": 0.1, "b": True, "c": 3}])
-    assert text == "a,b,c\n0.10000000000000001,true,3\n"
+    columns = {"a": [0.1], "b": [True], "c": [3], "d": np.array([False]), "e": np.array([0.1])}
+    assert render_csv(columns) == "a,b,c,d,e\n0.10000000000000001,true,3,false,0.10000000000000001\n"
+    assert json.loads(render_json(columns)) == [{"a": 0.1, "b": True, "c": 3, "d": False, "e": 0.1}]
+    for render in (render_csv, render_json):
+        with pytest.raises(ValueError):
+            render({"a": [0.1, 0.2], "b": [True]})
 
 
 def test_stdout_output(tmp_path, capsys):

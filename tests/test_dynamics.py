@@ -8,6 +8,7 @@ import pytest
 from weylscatter import (
     BoundaryLeak,
     GaussianBump,
+    InvalidPacket,
     NotConverged,
     PacketSpec,
     PoschlTeller,
@@ -212,3 +213,21 @@ def test_packet_spec_reads_fields_by_annotation():
     for value in (True, "4096", 4096.5):
         with pytest.raises(ValueError, match="n_points"):
             PacketSpec(n_points=value, **fields)
+
+
+def test_propagator_reads_fields_by_annotation():
+    prop = SplitStepPropagator(Zero(), 60, 1024.0, 0.01)
+    assert prop.n_points == 1024 and isinstance(prop.n_points, int)
+    assert isinstance(prop.half_length, float) and isinstance(prop.dt, float)
+    cases = [
+        ((60.0, 1024.7, 0.01), "n_points"),
+        ((True, 1024, 0.01), "half_length"),
+        ((60.0, 1024, math.nan), "dt"),
+        ((60.0, 1024, "0.01"), "dt"),
+        ((0.0, 1024, 0.01), "positive"),
+        ((60.0, 0, 0.01), "positive"),
+        ((60.0, 1024, -0.01), "positive"),
+    ]
+    for args, name in cases:
+        with pytest.raises(InvalidPacket, match=name):
+            SplitStepPropagator(Zero(), *args)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from weylscatter import (
     transfer_reflection_grid,
     truncated,
 )
-from weylscatter.scattering import _reflection_coefficient
+from weylscatter.scattering import DEFAULT_SUPPORT_THRESHOLD, _reflection_coefficient, boundary_pairs
 
 
 def mv(side, m, lam=1.0, err=0.0):
@@ -237,3 +239,99 @@ def test_sampled_potential_routes_agree():
             rec = spectral_reflection(lam, *boundary_pair(p, lam))
             res = transfer_reflection_grid(p, [float(np.sqrt(lam))], 0.002)[0]
             assert rec.reflect_prob == pytest.approx(res.reflect_prob, abs=1e-6)
+
+
+def _reference(m_l, m_r, err_l, err_r, s_threshold=DEFAULT_SUPPORT_THRESHOLD):
+    """The algebra at one energy, in Python complex arithmetic: the per-energy
+    formulas the column algebra replaced."""
+    ml = complex(m_l.real, max(m_l.imag, 0.0))
+    mr = complex(m_r.real, max(m_r.imag, 0.0))
+    g = -1.0 / (ml + mr)
+    s_off = 2j * g * math.sqrt(ml.imag * mr.imag)
+    s = np.array([[1.0 + 2j * g * ml.imag, s_off], [s_off, 1.0 + 2j * g * mr.imag]])
+    in_S_l = m_l.imag > s_threshold
+    r = complex((mr + np.conj(ml)) / (mr + ml)) if in_S_l else 1.0 + 0.0j
+    reflect = min(abs(r) ** 2, 1.0) if in_S_l else 1.0
+    return {
+        "s": s.ravel(),
+        "unitarity": float(np.max(np.abs(s @ s.conj().T - np.eye(2)))),
+        "r": r,
+        "reflect": reflect,
+        "transmit": 1.0 - reflect if in_S_l else 0.0,
+        "in_S_l": in_S_l,
+        "in_S_r": m_r.imag > s_threshold,
+        "err": (err_l + err_r) * (1.0 + 2.0 / abs(ml + mr)),
+    }
+
+
+def _columns():
+    """m-value columns from sweeps and from random draws.
+
+    The sweeps include energies off S_l (Step(1, 0) below its left tail) and
+    off S_r (Step(0, 1) below its right tail); the draws include Im m < 0,
+    which the algebra clamps to 0, and Im m = 0.
+    """
+    sweeps = [
+        (SquareBarrier(height=2.0, half_width=0.5), np.linspace(0.2, 8.0, 16)),
+        (GaussianBump(amplitude=1.0, sigma=1.0), np.linspace(0.3, 6.0, 12)),
+        (truncated(PoschlTeller(nu=2), 1e-12), np.linspace(0.5, 8.0, 12)),
+        (Step(0.0, 1.0), np.array([-0.5, 0.25, 0.5, 0.75, 2.0, 4.0])),
+        (Step(1.0, 0.0), np.array([-0.5, 0.25, 0.5, 0.75, 2.0, 4.0])),
+    ]
+    for p, grid in sweeps:
+        yield (grid, *boundary_pairs(p, grid))
+    rng = np.random.default_rng(7)
+    n = 4000
+    im = np.abs(rng.normal(size=(2, n)))
+    im[:, :400] = -1e-15 * rng.random((2, 400))  # clamped
+    im[0, 400:600] = 0.0  # off S_l
+    m = rng.normal(size=(2, n)) + 1j * im
+    err = 1e-14 * rng.random((2, n))
+    lam = np.arange(n, dtype=float)
+    yield lam, MValue("left", lam + 0j, m[0], err[0]), MValue("right", lam + 0j, m[1], err[1])
+
+
+def test_column_algebra_matches_per_energy_reference():
+    worst_s = worst_u = 0.0
+    for lam, m_l, m_r in _columns():
+        s = scattering_matrix(lam, m_l, m_r)
+        rec = spectral_reflection(lam, m_l, m_r)
+        unitarity = s.unitarity_residual()
+        entries = s.as_matrix().reshape(-1, 4)
+        assert rec.in_S_l.shape == lam.shape and unitarity.shape == lam.shape
+        for i, args in enumerate(zip(m_l.m.tolist(), m_r.m.tolist(), m_l.err_estimate, m_r.err_estimate)):
+            ref = _reference(*args)
+            assert rec.r_spectral[i] == ref["r"]
+            assert rec.reflect_prob[i] == ref["reflect"]
+            assert rec.transmit_prob[i] == ref["transmit"]
+            assert rec.in_S_l[i] == ref["in_S_l"] and rec.in_S_r[i] == ref["in_S_r"]
+            assert rec.err_estimate[i] == ref["err"]
+            worst_s = max(worst_s, np.max(np.abs(entries[i] - ref["s"])))
+            worst_u = max(worst_u, abs(unitarity[i] - ref["unitarity"]))
+    # numpy's complex quotient in -1 / (m_l + m_r) may round differently from
+    # Python's; nothing else in the algebra may
+    assert worst_s <= 2.3e-16
+    assert worst_u <= 4.5e-16
+
+
+def test_column_call_equals_scalar_call():
+    for lam, m_l, m_r in _columns():
+        s = scattering_matrix(lam, m_l, m_r)
+        rec = spectral_reflection(lam, m_l, m_r)
+        unitarity = s.unitarity_residual()
+        for i in range(len(lam)):
+            s_i = scattering_matrix(lam[i], m_l[i], m_r[i])
+            rec_i = spectral_reflection(lam[i], m_l[i], m_r[i])
+            assert np.array_equal(s_i.as_matrix(), s.as_matrix()[i])
+            assert s_i.unitarity_residual() == unitarity[i]
+            for name in ("r_spectral", "reflect_prob", "transmit_prob", "in_S_l", "in_S_r", "err_estimate"):
+                assert getattr(rec_i, name) == getattr(rec, name)[i], name
+                assert np.isscalar(getattr(rec_i, name)), name
+
+
+def test_resonant_denominator_names_first_resonant_entry():
+    m_l = MValue("left", np.zeros(3, dtype=complex), np.array([1j, 1.0 + 0j, 2j]), np.zeros(3))
+    m_r = MValue("right", np.zeros(3, dtype=complex), np.array([1j, -1.0 + 0j, 1j]), np.zeros(3))
+    for call in (scattering_matrix, spectral_reflection):
+        with pytest.raises(ResonantDenominator, match="at entry 1:"):
+            call(np.arange(3.0), m_l, m_r)
