@@ -15,16 +15,31 @@ r = ||D - c g g^T||_F of the difference D, the Eckart-Young theorem and
 Weyl's inequality give sv2(D) <= r and sv1(D) >= |c| ||g||^2 - r, so
 r / (|c| ||g||^2 - r) is an upper bound on sv2/sv1.
 
-D lives in one (2N+1)^2 buffer, that of the resolvent.  H_inf - z is block
-diagonal, so D is the resolvent less each Dirichlet half-line inverse on its
-own block, the two inverses taking turns in one N x N scratch.  g and G00
-are read from D's origin column, where (H_inf - z)^-1 vanishes;
-||g g^T||_F^2 = (g^H g)^2 in closed form, and c g g^T is subtracted from D a
-block of rows at a time, never formed whole.  The inner products and the
-Frobenius norm are numpy.einsum reductions, which call no BLAS and sum in a
-fixed order, so the check's bits do not depend on the BLAS thread count.
+D is never held whole.  H - z is tridiagonal, so its inverse X is
+semiseparable (Meurant, SIAM J. Matrix Anal. Appl. 13 (1992) 707-728): from
+the pivots u_i of the elimination below and the ratios c_i = -e / u_i,
 
-Nor does it take an eigendecomposition.  The inversion is guarded by a
+    X[i, j] = x_j c_i c_{i+1} ... c_{j-1}  (i <= j),
+    x_i = (1 - e c_i x_{i+1}) / u_i,  x_{2N} = 1 / u_{2N},
+
+and X is complex symmetric.  The pivots are computed once per tridiagonal,
+and the left half-line's are the first N of the full line's.  g and G00 are
+read from X's origin column, where (H_inf - z)^-1 vanishes, in O(N).  The
+coefficient c = <g g^T, D> / ||g g^T||_F^2 = g^H (D conj(g)) / (g^H g)^2
+needs only D conj(g): the full-line solve of conj(g) less the two
+Dirichlet half-line solves, each a forward and back substitution with the
+same pivots.  r is then reduced in one pass over D's row blocks, bottom-up:
+a block's square comes from the ratios inside it, the rest of its rows is
+the outer product of their suffix products with the row just below the
+block, carried from the block before, and each half-line inverse is made
+the same way and subtracted on its own block.  D - c g g^T is complex
+symmetric, so each block holds only the columns from its own first row on:
+its square is summed once and the rest twice.  The check so holds
+O(N x _ROW_BLOCK) numbers.  The inner products and sums of squares are
+numpy.einsum reductions, which call no BLAS and sum in a fixed order, so the
+check's bits do not depend on the BLAS thread count.
+
+Nor does it take an eigendecomposition.  The elimination is guarded by a
 closed-form upper bound on cond_2(H - z) from (n, h, v, z) alone: H is real
 symmetric, so the singular values of H - z are |lambda_i - z|.  Gershgorin
 gives |lambda_i| <= 4/h^2 + max|v|, so |lambda_i - z| <= 4/h^2 + max|v| + |z|.
@@ -36,25 +51,23 @@ within a factor 4 of the exact cond_2.
 No dense H is built and no BLAS or LAPACK routine is called.  H - z, and each
 Dirichlet half-line block of H_inf - z, is the complex symmetric tridiagonal
 matrix with diagonal d_i = 2/h^2 + v_i - z and off-diagonal e = -1/h^2, and
-it is inverted by Gaussian elimination without pivoting, in O(N^2).  The
-pivots of A = LU are u_0 = d_0, u_i = d_i - e^2 / u_{i-1}, and on the z
-domain of LatticeModel none of them can vanish:
+it is factored by Gaussian elimination without pivoting.  The pivots of
+A = LU are u_0 = d_0, u_i = d_i - e^2 / u_{i-1}, and on the z domain of
+LatticeModel none of them can vanish:
 
 * Im z > 0: Im d_i = -Im z, and Im(-e^2 / u) = e^2 Im u / |u|^2, so by
   induction every pivot has Im u_i <= -Im z;
 * real z < min(v): by induction u_{i-1} > 1/h^2, so e^2 / u_{i-1} < 1/h^2,
   and every pivot satisfies u_i >= 1/h^2 + v_i - z > 0.
 
-The forward sweep L Y = I leaves Y unit lower triangular: on and above the
-diagonal Y is the identity, so the back sweep U X = Y over the upper
-triangle reads nothing else of Y.  Row i of that triangle is
-X[i, i+1:] = -(e / u_i) X[i+1, i+1:], then X[i, i] = (1 - e X[i, i+1]) / u_i,
-and X is complex symmetric, so each row is also written into its column.
-Each step is one row operation, vectorized along the row.  Error analysis of elimination on tridiagonal matrices:
-Higham, SIAM J. Matrix Anal. Appl. 11 (1990) 521-530.
+The dense inverse, a reference for the tests, comes from the back sweep
+U X = L^-1, whose row i above the diagonal is X[i, i+1:] = c_i X[i+1, i+1:].
+Error analysis of elimination on tridiagonal matrices: Higham, SIAM J.
+Matrix Anal. Appl. 11 (1990) 521-530.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -64,7 +77,7 @@ from .errors import SingularResolvent
 from .potential import Potential, effective_support, read_field
 
 _COND_LIMIT = 1e12
-_ROW_BLOCK = 32  # rows of c g g^T formed at a time
+_ROW_BLOCK = 32  # rows of D formed at a time
 
 WEIGHT_CONVENTION = "delta_0 = e_0 / sqrt(h); G00(z) = [(H - z)^-1]_{00} / h"
 
@@ -128,21 +141,122 @@ def _tridiagonal(model: LatticeModel) -> tuple[np.ndarray, float]:
     return 2.0 * inv_h2 + model.v - model.z, -inv_h2
 
 
-def _pivots(diag: np.ndarray, off: float) -> list[complex]:
+def _pivots(diag: np.ndarray, off: float) -> np.ndarray:
     """Pivots of the LU factors of the symmetric tridiagonal tridiag(off, diag, off)."""
     off2 = off * off
     first, *rest = diag.tolist()
     pivots = [first]
     for d in rest:
         pivots.append(d - off2 / pivots[-1])
+    pivots = np.array(pivots)
     if not np.isfinite(pivots).all():
         raise SingularResolvent("non-finite pivot in the tridiagonal elimination")
     return pivots
 
 
+class _Inverse:
+    """The inverse X of tridiag(off, diag, off) as O(N) numbers, from its pivots.
+
+    X[i, j] = x_j c_i ... c_{j-1} for i <= j, with c_i = -off / u_i, see the
+    module docstring; no entry is stored.
+    """
+
+    def __init__(self, pivots: np.ndarray, off: float):
+        self.pivots = pivots
+        self.ratios = -off / pivots
+        diagonal = [1.0 / pivots[-1].item()]
+        for u, c in zip(pivots[-2::-1].tolist(), self.ratios[-2::-1].tolist()):
+            diagonal.append((1.0 - off * (diagonal[-1] * c)) / u)
+        self.diagonal = np.array(diagonal[::-1])
+
+    def column(self, j: int) -> np.ndarray:
+        """X[:, j]."""
+        ratios, x = self.ratios, self.diagonal
+        out = np.empty(len(x), dtype=complex)
+        out[j] = x[j]
+        out[:j] = x[j] * np.cumprod(ratios[:j][::-1])[::-1]
+        out[j + 1 :] = x[j + 1 :] * np.cumprod(ratios[j:-1])
+        return out
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """X rhs, by forward and back substitution: O(N)."""
+        ratios = self.ratios.tolist()
+        # L w = rhs: w_i = rhs_i + c_{i-1} w_{i-1}
+        forward = []
+        acc = 0.0
+        for b, c in zip(rhs.tolist(), [0.0, *ratios[:-1]]):
+            acc = b + c * acc
+            forward.append(acc)
+        # U y = w: y_i = w_i / u_i + c_i y_{i+1}
+        back = []
+        acc = 0.0
+        for w, u, c in zip(forward[::-1], self.pivots[::-1].tolist(), ratios[::-1]):
+            acc = w / u + c * acc
+            back.append(acc)
+        return np.array(back[::-1])
+
+    def row_blocks(self, starts: list[int]):
+        """Yield (start, X[start:stop, start:]) for the descending block starts, bottom-up.
+
+        The block's square holds x_j times the products of the ratios inside
+        it; its other columns are the products' last column, c_i ... c_{stop-1},
+        times row stop of X, carried from the block below.  Every block is a
+        view of one buffer, overwritten by the next.
+        """
+        size = len(self.pivots)
+        shifted = np.concatenate(([1.0], self.ratios))  # shifted[j] = c_{j-1}
+        carry = np.empty(0, dtype=complex)
+        rows = np.empty((_ROW_BLOCK, size), dtype=complex)
+        # j > i, cut to a block's height: where its ratio products run
+        strict_upper = np.arange(_ROW_BLOCK)[:, None] < np.arange(_ROW_BLOCK + 1)
+        stop = size
+        for start in starts:
+            height = stop - start
+            # products[i, j] = c_{start+i} ... c_{start+j-1} for j > i, else 1
+            products = np.where(strict_upper[:height, : height + 1], shifted[start : stop + 1], 1.0)
+            np.cumprod(products, axis=1, out=products)
+            square = products[:, :height] * self.diagonal[start:stop]
+            block = rows[:height, : size - start]
+            # below the diagonal, X[i, j] = X[j, i]
+            block[:, :height] = np.where(strict_upper[:height, :height].T, square.T, square)
+            np.multiply.outer(products[:, height], carry, out=block[:, height:])
+            carry = block[0].copy()
+            yield start, block
+            stop = start
+
+
+def _inverses(model: LatticeModel) -> tuple[_Inverse, _Inverse, _Inverse]:
+    """(H - z)^-1 and the left and right Dirichlet half-line inverses, each from its pivots."""
+    mid = model.n
+    diag, off = _tridiagonal(model)
+    pivots = _pivots(diag, off)
+    return (
+        _Inverse(pivots, off),
+        _Inverse(pivots[:mid], off),  # elimination runs top-down, so these are the same pivots
+        _Inverse(_pivots(diag[mid + 1 :], off), off),
+    )
+
+
+def _difference_blocks(full: _Inverse, left: _Inverse, right: _Inverse):
+    """Yield (start, D[start:stop, start:]) over D's row blocks, bottom-up.
+
+    D is complex symmetric, so the blocks hold every entry of it once or,
+    right of their squares, in place of its mirror image below them.
+    """
+    mid = len(left.pivots)
+    half_starts = [*range(mid - _ROW_BLOCK, 0, -_ROW_BLOCK), 0]  # the short block on top
+    starts = [mid + 1 + start for start in half_starts] + [mid] + half_starts
+    halves = itertools.chain(right.row_blocks(half_starts), [None], left.row_blocks(half_starts))
+    for (start, block), half in zip(full.row_blocks(starts), halves):
+        if half is not None:
+            part = half[1]
+            block[:, : part.shape[1]] -= part
+        yield start, block
+
+
 def _invert_into(out: np.ndarray, diag: np.ndarray, off: float) -> None:
     """Write the inverse of tridiag(off, diag, off) into out, every entry of it."""
-    pivots = _pivots(diag, off)
+    pivots = _pivots(diag, off).tolist()
     out[-1, -1] = 1.0 / pivots[-1]
     for i in range(len(pivots) - 2, -1, -1):
         row = out[i, i + 1 :]
@@ -152,7 +266,7 @@ def _invert_into(out: np.ndarray, diag: np.ndarray, off: float) -> None:
 
 
 def _resolvent(model: LatticeModel) -> np.ndarray:
-    """(H - z)^-1 on the full grid."""
+    """(H - z)^-1 on the full grid, dense: a reference for the tests."""
     size = 2 * model.n + 1
     out = np.empty((size, size), dtype=complex)
     _invert_into(out, *_tridiagonal(model))
@@ -162,8 +276,7 @@ def _resolvent(model: LatticeModel) -> np.ndarray:
 def decoupled_resolvent(model: LatticeModel) -> np.ndarray:
     """(H_inf - z)^-1 embedded in the full grid: block inverses, zero origin row/column.
 
-    A reference: the check subtracts the block inverses from the resolvent in
-    place and never builds this matrix.
+    A reference for the tests: the check never builds this matrix.
     """
     size = 2 * model.n + 1
     mid = model.n
@@ -175,14 +288,15 @@ def decoupled_resolvent(model: LatticeModel) -> np.ndarray:
 
 
 def _sum_squares(a: np.ndarray) -> float:
-    """Sum of the squared entries of a real matrix, in a fixed order and without BLAS."""
-    return float(np.einsum("ij,ij->", a, a))
+    """Sum of the squared moduli of a complex matrix, in a fixed order and without BLAS."""
+    parts = a.view(float)
+    return float(np.einsum("ij,ij->", parts, parts))
 
 
 def resolvent_difference_check(
     model: LatticeModel, g00_continuum: complex | None = None
 ) -> RankOneReport:
-    """Verify the rank-one identity on the model, inverting by tridiagonal elimination.
+    """Verify the rank-one identity on the model, from the tridiagonal elimination.
 
     When the continuum diagonal Green function -1/(m_l + m_r) at the same z
     is supplied, the report also gives its gap to the discrete G00 (expected
@@ -195,34 +309,32 @@ def resolvent_difference_check(
     condition = (4.0 / model.h**2 + float(np.abs(model.v).max()) + abs(z)) / dist
     if not math.isfinite(condition) or condition > _COND_LIMIT:
         raise SingularResolvent(f"resolvent solve condition bound {condition:.3e}")
-    # D in the buffer of the resolvent, see the module docstring
-    diff = _resolvent(model)
-    diag, off = _tridiagonal(model)
-    half_inverse = np.empty((mid, mid), dtype=complex)
-    for block in (slice(None, mid), slice(mid + 1, None)):
-        _invert_into(half_inverse, diag[block], off)
-        diff[block, block] -= half_inverse
-    del half_inverse
+    full, left, right = _inverses(model)
 
-    g = diff[:, mid] / math.sqrt(model.h)
-    g00 = diff[mid, mid] / model.h
+    # g, G00 and c in O(N), see the module docstring
+    d00 = full.diagonal[mid]
+    g = full.column(mid) / math.sqrt(model.h)
+    g00 = d00 / model.h
     g_conj = g.conj()
-    # <g g^T, D> = g^H (D conj(g)), a row sum at a time, and ||g g^T||_F^2 = (g^H g)^2
+    d_g = full.solve(g_conj)
+    d_g[:mid] -= left.solve(g_conj[:mid])
+    d_g[mid + 1 :] -= right.solve(g_conj[mid + 1 :])
     g_norm2 = float(np.einsum("i,i->", g_conj, g).real)
-    d_g = np.einsum("ij,j->i", diff, g_conj)
     coeff = complex(np.einsum("i,i->", g_conj, d_g) / g_norm2**2)
     coeff_resid = float(abs(coeff - 1.0 / g00))
-    entry_resid = float(abs(diff[mid, mid] - g[mid] ** 2 / g00))
+    entry_resid = float(abs(d00 - g[mid] ** 2 / g00))
 
-    # D - c g g^T in place, c g g^T formed a block of rows at a time
-    part = np.empty((_ROW_BLOCK, len(g)), dtype=complex)
-    for start in range(0, len(g), _ROW_BLOCK):
-        rows = diff[start : start + _ROW_BLOCK]
-        outer = part[: len(rows)]
-        np.multiply.outer(g[start : start + _ROW_BLOCK], g, out=outer)
-        outer *= coeff
-        rows -= outer
-    resid = math.sqrt(_sum_squares(diff.real) + _sum_squares(diff.imag))
+    # ||D - c g g^T||_F^2 a block of rows at a time: the square once, the rest twice
+    scaled = coeff * g
+    outer = np.empty((_ROW_BLOCK, len(g)), dtype=complex)
+    total = 0.0
+    for start, block in _difference_blocks(full, left, right):
+        height, width = block.shape
+        part = outer[:height, :width]
+        np.multiply.outer(scaled[start : start + height], g[start:], out=part)
+        block -= part
+        total += _sum_squares(block[:, :height]) + 2.0 * _sum_squares(block[:, height:])
+    resid = math.sqrt(total)
     lead = abs(coeff) * g_norm2 - resid
     sv_ratio = resid / lead if lead > 0.0 else math.inf
 

@@ -216,6 +216,19 @@ def test_verify_deterministic_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_verify_wide_support_at_defaults(tmp_path):
+    # sigma 5: the lattice has dim 1093, not verify's usual 321-381
+    cfg = write_config(
+        tmp_path, "g.json", {"potential": {"kind": "gaussian", "amplitude": 1.0, "sigma": 5.0}}
+    )
+    out = tmp_path / "verify.csv"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    _, rows = parse_csv(out)
+    assert len(rows) == 9
+    for row in rows:
+        assert row["status"] == "pass", row
+
+
 @pytest.mark.parametrize("slab_width", [0.0025, 0.00125])
 def test_verify_gaussian_fine_slab_passes_oracle(slab_width, tmp_path):
     # the default grid holds lambda = 1, the top of the bump: a slab midpoint

@@ -22,10 +22,15 @@ trees:
 * *_verify: commit 720d34a, the first tree whose lattice check inverts
   H - z by tridiagonal elimination.  The references before them, from
   commit 8c67693, differ only in the three `lattice_*` rows, by at most
-  3.0e-14.  Their `lattice_rank_one` and `lattice_coefficient` rows come
-  from the commit that made the check reduce D by einsum, without BLAS
-  (child of 4d33b69): the earlier bytes held the partial sums of OpenBLAS
-  `vdot` on two threads, and moved with the thread count, by up to 2.1e-14.
+  3.0e-14.  Their three `lattice_*` rows come from the commit that made
+  the check stream D's row blocks from the pivots, never holding D whole
+  (child of 365078d).  It takes c from O(N) solves and g from the
+  origin column's ratio products, so those rows moved: `lattice_rank_one`
+  and `lattice_coefficient` by at most 6.4e-15, the Gaussian's
+  `lattice_continuum_g00` by 1.1e-16, the other two not at all.  The
+  commit before it (child of 4d33b69) reduced D by einsum, without BLAS:
+  the bytes before that held the partial sums of OpenBLAS `vdot` on two
+  threads, and moved with the thread count, by up to 2.1e-14.
   Every row must match byte for byte except two, which the
   earlier references (commit b3d8728) needed: `lattice_rank_one` reports an
   upper bound on sv2/sv1, so its residual may only grow, and must still

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from weylscatter import (
     PoschlTeller,
     SingularResolvent,
     SquareBarrier,
+    Step,
     Zero,
     boundary_pair,
     decoupled_resolvent,
@@ -145,17 +147,28 @@ def _verify_models(p, seed, count=3, z_cont=False):
         yield lattice_model_from_potential(p, n, h, min(-1.0, p.lower_bound - 1.0))
 
 
+def _assembled_difference(model):
+    """D assembled from the row blocks that the check reduces, mirrored below them.
+
+    The blocks are looked up on the module as the check looks them up, so a
+    patch of them reaches both.
+    """
+    size = 2 * model.n + 1
+    dense = np.zeros((size, size), dtype=complex)
+    for start, block in lattice._difference_blocks(*lattice._inverses(model)):
+        stop = start + len(block)
+        dense[start:stop, start:] = block
+        dense[start:, start:stop] = block.T
+    return dense
+
+
 def _exact_sv_ratio(model):
     """sv2/sv1 of the check's own resolvent difference, from a full SVD.
 
-    Takes both resolvents from the module, the full one looked up as the
-    check does, so a patch of it reaches both; the check subtracts the same
-    block inverses in place, so D has the same bits.  A LAPACK inverse in
-    place of the full one would measure how far two inverses disagree, near
-    1e-14.
+    D has the bits the check reduces.  A LAPACK inverse in place of the
+    elimination would measure how far two inverses disagree, near 1e-14.
     """
-    diff = lattice._resolvent(model) - lattice.decoupled_resolvent(model)
-    svals = np.linalg.svd(diff, compute_uv=False)
+    svals = np.linalg.svd(_assembled_difference(model), compute_uv=False)
     return float(svals[1] / svals[0])
 
 
@@ -168,19 +181,74 @@ def test_sv_ratio_bounds_the_exact_ratio(name):
 
 @pytest.mark.parametrize("name", sorted(RANK_ONE_POTENTIALS))
 def test_rank_two_difference_fails_the_bound(name, monkeypatch):
-    # one 1e-6 entry off the origin row and column and off the half-line
-    # blocks, where D is the resolvent, makes D rank two
-    exact = lattice._resolvent
+    # a 1e-6 symmetric pair off the origin row and column and off the
+    # half-line blocks, where D is the resolvent, makes D rank two; the
+    # blocks hold (row, col) right of their squares, which stands for both
+    exact = lattice._difference_blocks
 
-    def perturbed(model):
-        out = exact(model)
-        out[model.n + 3, model.n - 5] += 1e-6
-        return out
+    def perturbed(full, left, right):
+        mid = len(left.pivots)
+        row, col = mid - 5, mid + 3
+        for start, block in exact(full, left, right):
+            if start <= row < start + len(block):
+                block[row - start, col - start] += 1e-6
+            yield start, block
 
-    monkeypatch.setattr(lattice, "_resolvent", perturbed)
+    monkeypatch.setattr(lattice, "_difference_blocks", perturbed)
     for model in _verify_models(RANK_ONE_POTENTIALS[name], seed=32):
         report = resolvent_difference_check(model)
+        dense = _assembled_difference(model)
+        assert dense[model.n + 3, model.n - 5] == dense[model.n - 5, model.n + 3]
         assert 1e-10 < _exact_sv_ratio(model) <= report.sv_ratio, model.z
+
+
+def _block_models():
+    for name in sorted(RANK_ONE_POTENTIALS):
+        yield from _verify_models(RANK_ONE_POTENTIALS[name], seed=39, count=2, z_cont=True)
+    # unequal tails, at a real z below min v and at a complex one
+    step = Step(left_value=2.0, right_value=-1.0)
+    for z in (-1.5, 0.5 + 1j):
+        yield lattice_model_from_potential(step, 160, 0.05, z)
+    # a Gaussian of sigma 10 on verify's lattice: dim 2145
+    yield from _verify_models(GaussianBump(amplitude=1.0, sigma=10.0), seed=40, count=1)
+
+
+def test_difference_blocks_match_dense_difference():
+    # the blocks the check reduces against the dense resolvent less the dense
+    # decoupled one, on verify's models, z_cont included, a step and a wide bump
+    models = list(_block_models())
+    assert max(model.n for model in models) >= 1000
+    for model in models:
+        mid = model.n
+        full, left, right = lattice._inverses(model)
+        diff = lattice._resolvent(model)
+        # the O(N) pieces the coefficient comes from: the origin column and the solves
+        rhs = np.cos(np.arange(len(diff))) + 1j
+        assert np.abs(full.column(mid) - diff[:, mid]).max() <= 1e-12 * np.abs(diff[:, mid]).max()
+        expected = np.einsum("ij,j->i", diff, rhs)
+        assert np.abs(full.solve(rhs) - expected).max() <= 1e-12 * np.abs(expected).max()
+        diff -= decoupled_resolvent(model)
+        scale = np.abs(diff).max()
+        rows = 0
+        for start, block in lattice._difference_blocks(full, left, right):
+            assert start + len(block) == len(diff) - rows
+            assert np.abs(block - diff[start : start + len(block), start:]).max() <= 1e-12 * scale
+            rows += len(block)
+        assert rows == len(diff)
+
+
+def test_check_memory_is_linear_in_n():
+    # dim 2001: the dense difference alone would take 61 MiB, a row block 1 MiB
+    budget = 8 * 2**20
+    model = LatticeModel(n=1000, h=0.05, v=np.zeros(2001), z=1.0 + 1.0j)
+    tracemalloc.start()
+    try:
+        report = resolvent_difference_check(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget, peak
+    assert report.sv_ratio <= 1e-10
 
 
 def _elimination_models():
