@@ -13,9 +13,9 @@ from weylscatter import (
     closed_form_barrier,
     scattering_matrix,
     spectral_reflection,
+    sweep,
     transfer_reflection_grid,
 )
-from weylscatter.scattering import boundary_pairs
 
 HEIGHT = 2.0
 HALF_WIDTH = 0.5
@@ -28,12 +28,12 @@ def main():
 
     print(f"square barrier, height {HEIGHT}, total width {2*HALF_WIDTH}")
     print("lambda   |s_ll|^2 (m-functions)   |r|^2 (transfer)    closed form   spread")
-    m_l, m_r = boundary_pairs(p, grid)
-    s = scattering_matrix(grid, m_l, m_r)
-    rec = spectral_reflection(grid, m_l, m_r)
+    m_l, m_r = sweep(p, grid)
+    s = scattering_matrix(m_l, m_r)
+    rec = spectral_reflection(m_l, m_r)
     assert np.all(np.abs(s.s_ll - rec.r_spectral) < 1e-10)  # same object, two formulas
-    for lam, s_ll, res in zip(grid, s.s_ll, oracle):
-        routes = [abs(s_ll) ** 2, res.reflect_prob]
+    for lam, s_ll, transfer in zip(grid, s.s_ll, oracle.reflect_prob):
+        routes = [abs(s_ll) ** 2, transfer]
         try:
             closed, _ = closed_form_barrier(float(lam), HEIGHT, 2 * HALF_WIDTH)
             routes.append(closed)
@@ -42,7 +42,7 @@ def main():
             closed_str = "   (E = V0)   "
         spread = max(routes) - min(routes)
         print(
-            f"{lam:6.2f}   {abs(s_ll)**2:.12f}         {res.reflect_prob:.12f}    "
+            f"{lam:6.2f}   {abs(s_ll)**2:.12f}         {transfer:.12f}    "
             f"{closed_str}   {spread:.1e}"
         )
 

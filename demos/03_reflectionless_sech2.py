@@ -11,10 +11,10 @@ from weylscatter import (
     PoschlTeller,
     reflectionless_scan,
     spectral_reflection,
+    sweep,
     transfer_reflection_grid,
     truncated,
 )
-from weylscatter.scattering import boundary_pairs
 
 
 def main():
@@ -23,8 +23,8 @@ def main():
         p = PoschlTeller(nu=nu)
         print(f"== V(x) = -{nu*(nu+1)} sech^2(x) ==")
         oracle = transfer_reflection_grid(p, np.sqrt(grid), 0.004)
-        worst_spec = np.max(spectral_reflection(grid, *boundary_pairs(p, grid)).reflect_prob)
-        worst_tm = max(res.reflect_prob for res in oracle)
+        worst_spec = np.max(spectral_reflection(*sweep(p, grid)).reflect_prob)
+        worst_tm = np.max(oracle.reflect_prob)
         print(f"  max spectral reflect_prob over {len(grid)} energies: {worst_spec:.3e}")
         print(f"  max transfer   |r|^2      over {len(grid)} energies: {worst_tm:.3e}")
 

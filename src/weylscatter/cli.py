@@ -34,7 +34,6 @@ from .oracle import transfer_reflection_grid
 from .potential import Potential, check_object, effective_support, potential_from_config, read_field, read_fields
 from .scattering import (
     DEFAULT_SUPPORT_THRESHOLD,
-    boundary_pairs,
     green00,
     modulus,
     scattering_matrix,
@@ -198,20 +197,20 @@ def render_json(columns: dict) -> str:
 
 def _cmd_mfunction(config: RunConfig):
     grid = config.lambda_grid
-    m_l, m_r, err_l, err_r = sweep(config.potential, grid, config.solver)
-    m = np.stack([m_l, m_r], axis=1).ravel()  # rows left, right at each energy
+    m_l, m_r = sweep(config.potential, grid, config.solver)
+    m = np.stack([m_l.m, m_r.m], axis=1).ravel()  # rows left, right at each energy
     return {
         "lambda": np.repeat(grid, 2),
         "side": ["left", "right"] * len(grid),
         "m_re": m.real,
         "m_im": m.imag,
-        "err": np.stack([err_l, err_r], axis=1).ravel(),
+        "err": np.stack([m_l.err_estimate, m_r.err_estimate], axis=1).ravel(),
     }
 
 
 def _cmd_scatter(config: RunConfig):
     grid = config.lambda_grid
-    s = scattering_matrix(grid, *boundary_pairs(config.potential, grid, config.solver))
+    s = scattering_matrix(*sweep(config.potential, grid, config.solver))
     columns = {"lambda": grid}
     for name in ("s_ll", "s_lr", "s_rl", "s_rr"):
         entry = getattr(s, name)
@@ -223,7 +222,7 @@ def _cmd_scatter(config: RunConfig):
 
 def _cmd_reflect(config: RunConfig):
     grid = config.lambda_grid
-    rec = spectral_reflection(grid, *boundary_pairs(config.potential, grid, config.solver), config.s_threshold)
+    rec = spectral_reflection(*sweep(config.potential, grid, config.solver), config.s_threshold)
     return {
         "lambda": grid,
         "reflect_prob": rec.reflect_prob,
@@ -319,7 +318,7 @@ def _solve_together(config: RunConfig, *energy_sets) -> list[tuple[MValue, MValu
     reports the first failing energy in the order the sets are given.
     """
     grid = np.concatenate([np.asarray(energies, dtype=float) for energies in energy_sets])
-    m_l, m_r = boundary_pairs(config.potential, grid, config.solver)
+    m_l, m_r = sweep(config.potential, grid, config.solver)
     sizes = [len(energies) for energies in energy_sets]
     return [(m_l[stop - size : stop], m_r[stop - size : stop]) for size, stop in zip(sizes, np.cumsum(sizes))]
 
@@ -366,8 +365,8 @@ def _cmd_verify(config: RunConfig):
     z_cont = min(-1.0, p.lower_bound - 1.0)
     grid_pair, band_pair, cont_pair = _solve_together(config, grid, band_lams, [z_cont])
 
-    s = scattering_matrix(grid, *grid_pair)
-    rec = spectral_reflection(grid, *grid_pair, config.s_threshold)
+    s = scattering_matrix(*grid_pair)
+    rec = spectral_reflection(*grid_pair, config.s_threshold)
     identity_res = np.max(modulus(s.s_ll - rec.r_spectral), where=rec.in_S_l, initial=0.0)
     diag_res = np.max(np.abs(modulus(s.s_ll) - modulus(s.s_rr)))
     rows = [
@@ -379,7 +378,7 @@ def _cmd_verify(config: RunConfig):
     if zero_tails and np.all(grid > 0):
         ks = np.sqrt(grid)
         oracle = transfer_reflection_grid(p, ks, config.slab_width, config.solver.truncation_tol)
-        gap = np.max(np.abs(rec.reflect_prob - [res.reflect_prob for res in oracle]))
+        gap = np.max(np.abs(rec.reflect_prob - oracle.reflect_prob))
         rows.append(_verify_row("spectral_vs_oracle", "max |R^2 - |r|^2| over grid", gap, 1e-6))
 
     if zero_tails:

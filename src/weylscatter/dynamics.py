@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import BoundaryLeak, InvalidPacket, NotConverged
 from .potential import Potential, effective_support, read_field, read_fields
-from .scattering import DEFAULT_SUPPORT_THRESHOLD, boundary_pairs, spectral_reflection
-from .weyl import MValue, SolverOptions
+from .scattering import DEFAULT_SUPPORT_THRESHOLD, spectral_reflection
+from .weyl import MValue, SolverOptions, sweep
 
 _INTERACTION_MASS_TOL = 1e-6
 _EDGE_MASS_TOL = 1e-4
@@ -295,7 +295,7 @@ def band_reflection(
     The terms are added in band order, from 0.0, one after the other, as a
     loop adds them; np.sum adds pairwise, which would move the last bits.
     """
-    rec = spectral_reflection(band.lams, *pair, s_threshold)
+    rec = spectral_reflection(*pair, s_threshold)
     terms = rec.reflect_prob * band.density * band.dk
     return float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1])
 
@@ -311,7 +311,7 @@ def predicted_reflection(
     The band's energies are solved as one sweep.
     """
     band = incident_band(spec)
-    return band_reflection(band, boundary_pairs(p, band.lams, opts), s_threshold)
+    return band_reflection(band, sweep(p, band.lams, opts), s_threshold)
 
 
 def evolve_packet(p: Potential, spec: PacketSpec, trace_stride: int = 0) -> PacketResult:

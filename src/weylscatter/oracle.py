@@ -15,6 +15,12 @@ where q^2 < 0), so a slab at a turning point, q = 0, needs no special case
 and every propagator is real with determinant 1.  The slabs are multiplied
 pairwise, a batch of 2x2 products over (momentum, slab) arrays per level, in
 blocks of _SLAB_BLOCK slabs.  Plane waves enter only at the two vacuum ends.
+
+`transfer_reflection_grid` returns one TransferResult whose k, r_amp and
+t_amp are columns over the momenta; indexing it gives one momentum's entry,
+and `transfer_reflection` is the one-momentum call.  The probabilities square
+libm's hypot by libm's pow, so each entry has the bits of abs(r) ** 2 in
+Python complex arithmetic.
 """
 from __future__ import annotations
 
@@ -33,22 +39,33 @@ _OVERFLOW_LIMIT = 1e300
 _SLAB_BLOCK = 512
 
 
+def _squared_modulus(z):
+    """|z|^2 by libm's hypot and pow, the functions abs(complex) and ** use."""
+    return np.float_power(np.hypot(np.real(z), np.imag(z)), 2.0)
+
+
 @dataclass(frozen=True)
 class TransferResult:
-    """Amplitudes for a unit wave incident from the left at momentum k."""
+    """Amplitudes for a unit wave incident from the left: scalars at one
+    momentum k, or equal-length columns over several.  Every entry shares
+    slab_count."""
 
     k: float
     r_amp: complex
     t_amp: complex
     slab_count: int
 
-    @property
-    def reflect_prob(self) -> float:
-        return abs(self.r_amp) ** 2
+    def __getitem__(self, index) -> TransferResult:
+        """The entry, or the columns, at index of a column TransferResult."""
+        return TransferResult(self.k[index], self.r_amp[index], self.t_amp[index], self.slab_count)
 
     @property
-    def transmit_prob(self) -> float:
-        return abs(self.t_amp) ** 2
+    def reflect_prob(self):
+        return _squared_modulus(self.r_amp)
+
+    @property
+    def transmit_prob(self):
+        return _squared_modulus(self.t_amp)
 
 
 def _slab_edges(p: Potential, slab_width: float, truncation_tol: float) -> np.ndarray:
@@ -108,7 +125,7 @@ def _compose(p: Potential, ks: np.ndarray, edges: np.ndarray):
             v_mid = np.asarray(p.value(0.5 * (lo + hi)), dtype=float)
             ba, bb, bc, bd = _pairwise_product(*_slab_propagators(k2, hi - lo, v_mid))
             a, b, c, d = ba * a + bb * c, ba * b + bb * d, bc * a + bd * c, bc * b + bd * d
-            peak = float(np.max(np.abs([a, b, c, d])))
+            peak = float(np.max(np.abs([a, b, c, d]), initial=0.0))  # initial: ks may be empty
             if not math.isfinite(peak) or peak > _OVERFLOW_LIMIT:
                 raise EvanescentOverflow(
                     "transfer-matrix entries overflowed; split the slab and retry"
@@ -121,9 +138,9 @@ def transfer_reflection_grid(
     ks,
     slab_width: float,
     truncation_tol: float = 1e-12,
-) -> list[TransferResult]:
-    """Transfer-matrix amplitudes for every momentum in ks (all positive and finite)."""
-    ks = np.asarray(ks, dtype=float)
+) -> TransferResult:
+    """Transfer-matrix amplitudes as columns over the momenta ks (all positive and finite)."""
+    ks = np.array(ks, dtype=float)  # a copy: the result keeps it as its k column
     if not (slab_width > 0 and math.isfinite(slab_width)):
         raise InvalidSlabWidth(f"slab_width must be positive and finite, got {slab_width}")
     if not np.all((ks > 0) & (ks < math.inf)):  # NaN fails both comparisons
@@ -132,7 +149,7 @@ def transfer_reflection_grid(
         raise ValueError("transfer oracle requires equal zero tails")
     edges = _slab_edges(p, slab_width, truncation_tol)
     if len(edges) == 1:
-        return [TransferResult(float(k), 0.0 + 0.0j, 1.0 + 0.0j, 0) for k in ks]
+        return TransferResult(ks, np.zeros_like(ks, dtype=complex), np.ones_like(ks, dtype=complex), 0)
     a, b, c, d = _compose(p, ks, edges)
     # plane waves at the vacuum ends: e^{ikx} + r e^{-ikx} left of edges[0],
     # t e^{ikx} right of edges[-1]; with the coefficient map M, r = -M21/M22
@@ -140,13 +157,7 @@ def transfer_reflection_grid(
     x_lo, x_hi = edges[0], edges[-1]
     m21 = np.exp(1j * ks * (x_hi + x_lo)) * ((a - d) + 1j * (ks * b + c / ks)) / 2
     m22 = np.exp(1j * ks * (x_hi - x_lo)) * ((a + d) + 1j * (c / ks - ks * b)) / 2
-    r = -m21 / m22
-    t = 1.0 / m22
-    slabs = len(edges) - 1
-    return [
-        TransferResult(float(k), complex(rk), complex(tk), slabs)
-        for k, rk, tk in zip(ks, r, t)
-    ]
+    return TransferResult(ks, -m21 / m22, 1.0 / m22, len(edges) - 1)
 
 
 def transfer_reflection(

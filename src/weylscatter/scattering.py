@@ -14,9 +14,10 @@ which coincides with s_ll identically.  Tiny negative imaginary parts (solver
 noise) are clamped to zero before square roots; the clamped values feed every
 formula so unitarity survives exactly.
 
-The algebra is elementwise: given MValue columns over an energy grid, as
-`boundary_pairs` returns them, every result is a column over the grid, and
-given scalar MValues, a numpy scalar.  Moduli are taken by libm's hypot and
+The algebra is elementwise and takes the m-values alone: given the MValue
+columns that `weyl.sweep` returns over an energy grid, every result is a
+column over the grid, and given scalar MValues (`boundary_pair` solves one
+energy's), a numpy scalar.  Moduli are taken by libm's hypot and
 squares by libm's pow, as Python's abs(complex) and ** take them, so each
 entry of a column has the bits of the same formula in Python complex
 arithmetic, except that numpy's complex quotient -1 / (m_l + m_r) may round
@@ -38,16 +39,15 @@ _RESONANT_EPS = 1e-14
 
 @dataclass(frozen=True)
 class ScatteringMatrix2:
-    """The 2x2 scattering matrix at each energy of lam, channels ordered (left, right)."""
+    """The 2x2 scattering matrix at each energy of the m-values, channels ordered (left, right)."""
 
-    lam: np.ndarray
     s_ll: np.ndarray
     s_lr: np.ndarray
     s_rl: np.ndarray
     s_rr: np.ndarray
 
     def as_matrix(self) -> np.ndarray:
-        """The matrices stacked along the last two axes, shape lam.shape + (2, 2)."""
+        """The matrices stacked along the last two axes, shape s_ll.shape + (2, 2)."""
         entries = np.stack(np.broadcast_arrays(self.s_ll, self.s_lr, self.s_rl, self.s_rr), axis=-1)
         return entries.reshape(entries.shape[:-1] + (2, 2))
 
@@ -60,9 +60,8 @@ class ScatteringMatrix2:
 
 @dataclass(frozen=True)
 class ReflectionRecord:
-    """Reflection/transmission at each energy of lam."""
+    """Reflection/transmission at each energy of the m-values."""
 
-    lam: np.ndarray
     r_spectral: np.ndarray
     reflect_prob: np.ndarray
     transmit_prob: np.ndarray
@@ -116,7 +115,7 @@ def _reflection_coefficient(m_l, m_r):
     return (m_r + np.conj(m_l)) / (m_r + m_l)
 
 
-def scattering_matrix(lam, m_l: MValue, m_r: MValue) -> ScatteringMatrix2:
+def scattering_matrix(m_l: MValue, m_r: MValue) -> ScatteringMatrix2:
     """Assemble s(lambda) from boundary m-values at the same energies.
 
     Entries for a side whose Im m vanishes reduce to the identity row and
@@ -127,7 +126,6 @@ def scattering_matrix(lam, m_l: MValue, m_r: MValue) -> ScatteringMatrix2:
     g = green00(ml, mr)
     s_off = 2j * g * np.sqrt(bl * br)
     return ScatteringMatrix2(
-        lam=np.asarray(lam, dtype=float)[()],
         s_ll=1.0 + 2j * g * bl,
         s_lr=s_off,
         s_rl=s_off,
@@ -136,12 +134,11 @@ def scattering_matrix(lam, m_l: MValue, m_r: MValue) -> ScatteringMatrix2:
 
 
 def spectral_reflection(
-    lam,
     m_l: MValue,
     m_r: MValue,
     s_threshold: float = DEFAULT_SUPPORT_THRESHOLD,
 ) -> ReflectionRecord:
-    """Reflection at each energy of lam for incidence from the left.
+    """Reflection at each energy of the m-values for incidence from the left.
 
     Membership in the essential supports S_l / S_r is decided by thresholding
     Im m against s_threshold.  Off S_l the convention is total reflection:
@@ -156,7 +153,6 @@ def spectral_reflection(
     # differently for about one value in 1200
     reflect = np.where(in_S_l, np.minimum(np.float_power(modulus(r), 2.0), 1.0), 1.0)
     return ReflectionRecord(
-        lam=np.asarray(lam, dtype=float)[()],
         r_spectral=r[()],
         reflect_prob=reflect[()],
         transmit_prob=(1.0 - reflect)[()],
@@ -166,21 +162,11 @@ def spectral_reflection(
     )
 
 
-def boundary_pairs(
-    p: Potential, grid, opts: SolverOptions | None = None
-) -> tuple[MValue, MValue]:
-    """Both boundary m-values over grid, as a (left, right) pair of columns from one sweep."""
-    grid = np.asarray(grid, dtype=float)
-    m_l, m_r, err_l, err_r = sweep(p, grid, opts)
-    z = grid + 0j
-    return MValue("left", z, m_l, err_l), MValue("right", z, m_r, err_r)
-
-
 def boundary_pair(
     p: Potential, lam: float, opts: SolverOptions | None = None
 ) -> tuple[MValue, MValue]:
     """Both boundary m-values at lambda."""
-    m_l, m_r = boundary_pairs(p, [float(lam)], opts)
+    m_l, m_r = sweep(p, [float(lam)], opts)
     return m_l[0], m_r[0]
 
 
@@ -201,7 +187,7 @@ def reflectionless_scan(
         raise ValidationError("grid must be a nonempty 1D sequence")
     if not np.all(np.diff(grid) > 0):
         raise ValidationError("grid must be strictly increasing")
-    rec = spectral_reflection(grid, *boundary_pairs(p, grid, opts), s_threshold)
+    rec = spectral_reflection(*sweep(p, grid, opts), s_threshold)
     zero = (rec.reflect_prob <= zero_tol).astype(np.int8)
     edges = np.diff(zero, prepend=0, append=0)
     return [

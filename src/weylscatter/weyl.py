@@ -28,11 +28,14 @@ parked in place with a zero step, and the parked lanes are gathered out once
 at most half the lanes run; a lane that fails is gathered out at once.  When
 V(-x) = V(x) (`Potential.mirror_symmetric`), x -> -x maps one half-line
 problem onto the other and m_left = m_right bit for bit, so only one side
-is integrated.  `sweep` batches a whole energy grid this way.  A batch takes
-as many attempt passes as its slowest lane needs, and each pass makes a
-fixed number of numpy calls whatever the lane count: the Butcher tableau is
-summed by column into reused work arrays, each sum adding its terms in
-tableau order.
+is integrated.  A batch takes as many attempt passes as its slowest lane
+needs, and each pass makes a fixed number of numpy calls whatever the lane
+count: the Butcher tableau is summed by column into reused work arrays, each
+sum adding its terms in tableau order.
+
+`sweep` is the grid's one door: it batches a whole energy grid this way and
+returns the (left, right) pair of MValue columns.  `boundary_m` and
+`interior_m` are the single-energy entries.
 """
 from __future__ import annotations
 
@@ -604,26 +607,6 @@ def _m_values(p: Potential, z, sides, opts: SolverOptions):
     return m, err
 
 
-def _m_halfline(side: str, p: Potential, z: complex, opts: SolverOptions, rtol: float, atol: float) -> complex:
-    """Log-derivative of the decaying solution at the origin, any complex z.
-
-    This is the raw solver on one lane; the public entry points restrict z to
-    the closed upper half-plane and add error estimates.
-    """
-    p.tail_value(side)  # rejects an unknown side
-    m, failures = _integrate(
-        p,
-        np.array([complex(z)]),
-        np.array([side == "right"]),
-        np.array([float(rtol)]),
-        np.array([float(atol)]),
-        opts,
-    )
-    if failures[0] is not None:
-        raise failures[0]
-    return complex(m[0])
-
-
 def interior_m(side: str, p: Potential, z: complex, opts: SolverOptions | None = None) -> MValue:
     """Weyl m-function at z with Im z > 0.
 
@@ -637,23 +620,22 @@ def interior_m(side: str, p: Potential, z: complex, opts: SolverOptions | None =
     return MValue(side=side, z=z, m=complex(m[0, 0]), err_estimate=float(err[0, 0]))
 
 
-def sweep(
-    p: Potential, grid, opts: SolverOptions | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def sweep(p: Potential, grid, opts: SolverOptions | None = None) -> tuple[MValue, MValue]:
     """Boundary values m(lambda + i0) on both sides at every energy of grid.
 
     All energies, both sides and both tolerances are integrated as one
     lockstep batch; the result at each energy equals boundary_m's, bit for
-    bit.  Returns the arrays (m_l, m_r, err_l, err_r).  A failure, a refused
-    error bar included, raises the typed error of the first failing energy in
-    grid order, left side before right.
+    bit.  Returns the (left, right) pair of MValue columns, with z = grid.
+    A failure, a refused error bar included, raises the typed error of the
+    first failing energy in grid order, left side before right.
     """
     opts = opts or SolverOptions()
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1:
         raise ValueError("grid must be a 1D sequence of energies")
     m, err = _m_values(p, grid, ("left", "right"), opts)
-    return m[0], m[1], err[0], err[1]
+    z = grid + 0j
+    return MValue("left", z, m[0], err[0]), MValue("right", z, m[1], err[1])
 
 
 def boundary_m(side: str, p: Potential, lam: float, opts: SolverOptions | None = None) -> MValue:

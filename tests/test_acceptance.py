@@ -34,8 +34,7 @@ from weylscatter import (
     truncated,
 )
 from weylscatter.cli import main as cli_main
-from weylscatter.scattering import boundary_pairs
-from weylscatter.weyl import _m_halfline, SolverOptions
+from weylscatter.weyl import SolverOptions, _m_values, sweep
 
 
 def _report(criterion: str, detail: str, elapsed: float) -> None:
@@ -55,7 +54,7 @@ def sweeps():
     }
     out = {}
     for name, (p, grid) in cases.items():
-        out[name] = (grid, *boundary_pairs(p, grid))
+        out[name] = sweep(p, grid)
     return out
 
 
@@ -66,8 +65,8 @@ def test_criterion_1_free_line_reflectionless():
     worst_r = 0.0
     for lam in np.arange(0.1, 10.0 + 1e-9, 0.1):
         m_l, m_r = boundary_pair(Zero(), float(lam))
-        s = scattering_matrix(float(lam), m_l, m_r)
-        rec = spectral_reflection(float(lam), m_l, m_r)
+        s = scattering_matrix(m_l, m_r)
+        rec = spectral_reflection(m_l, m_r)
         worst_s = max(worst_s, abs(s.s_ll))
         worst_r = max(worst_r, rec.reflect_prob)
     elapsed = time.perf_counter() - t0
@@ -81,9 +80,9 @@ def test_criterion_2_internal_identity(sweeps):
     t0 = time.perf_counter()
     worst = 0.0
     count = 0
-    for grid, m_l, m_r in sweeps.values():
-        s = scattering_matrix(grid, m_l, m_r)
-        rec = spectral_reflection(grid, m_l, m_r)
+    for m_l, m_r in sweeps.values():
+        s = scattering_matrix(m_l, m_r)
+        rec = spectral_reflection(m_l, m_r)
         worst = max(worst, np.max(np.abs(s.s_ll - rec.r_spectral), where=rec.in_S_l, initial=0.0))
         count += int(np.count_nonzero(rec.in_S_l))
     elapsed = time.perf_counter() - t0
@@ -95,8 +94,8 @@ def test_criterion_3_unitarity(sweeps):
     t0 = time.perf_counter()
     worst_u = 0.0
     worst_d = 0.0
-    for grid, m_l, m_r in sweeps.values():
-        s = scattering_matrix(grid, m_l, m_r)
+    for m_l, m_r in sweeps.values():
+        s = scattering_matrix(m_l, m_r)
         worst_u = max(worst_u, np.max(s.unitarity_residual()))
         worst_d = max(worst_d, np.max(np.abs(np.abs(s.s_ll) - np.abs(s.s_rr))))
     elapsed = time.perf_counter() - t0
@@ -113,13 +112,13 @@ def test_criterion_4_barrier_oracle_equivalence():
     worst = 0.0
     for lam, res in zip(grid, oracle):
         m_l, m_r = boundary_pair(p, float(lam))
-        rec = spectral_reflection(float(lam), m_l, m_r)
+        rec = spectral_reflection(m_l, m_r)
         worst = max(worst, abs(rec.reflect_prob - res.reflect_prob))
     assert worst <= 1e-6
     # spot energy pinned to the textbook formula
     reflect_cf, transmit_cf = closed_form_barrier(1.0, 2.0, 1.0)
     m_l, m_r = boundary_pair(p, 1.0)
-    rec = spectral_reflection(1.0, m_l, m_r)
+    rec = spectral_reflection(m_l, m_r)
     res = transfer_reflection_grid(p, [1.0], 0.01)[0]
     assert transmit_cf == pytest.approx(0.4199743416140261, abs=1e-12)
     assert rec.transmit_prob == pytest.approx(transmit_cf, abs=1e-4)
@@ -136,10 +135,10 @@ def test_criterion_5_reflectionless_family():
     worst_transfer = 0.0
     for nu in (1, 2):
         p = PoschlTeller(nu=nu)
-        rec = spectral_reflection(grid, *boundary_pairs(p, grid))
+        rec = spectral_reflection(*sweep(p, grid))
         worst_spectral = max(worst_spectral, np.max(rec.reflect_prob))
-        for res in transfer_reflection_grid(p, np.sqrt(grid), 0.004):
-            worst_transfer = max(worst_transfer, res.reflect_prob)
+        oracle = transfer_reflection_grid(p, np.sqrt(grid), 0.004)
+        worst_transfer = max(worst_transfer, np.max(oracle.reflect_prob))
     elapsed = time.perf_counter() - t0
     assert worst_spectral <= 1e-6
     assert worst_transfer <= 1e-8
@@ -239,7 +238,7 @@ def test_criterion_8_herglotz_and_conjugation():
         mv = interior_m(side, p, z, opts)
         assert mv.m.imag >= -mv.err_estimate
         if i % 5 == 0:
-            down = _m_halfline(side, p, z.conjugate(), opts, opts.rel_ode_tol, opts.abs_ode_tol)
+            down = _m_values(p, [z.conjugate()], (side,), opts)[0][0, 0]
             worst_conj = max(worst_conj, abs(down - mv.m.conjugate()))
     assert worst_conj <= 1e-9
     elapsed = time.perf_counter() - t0

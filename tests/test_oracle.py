@@ -13,6 +13,7 @@ from weylscatter import (
     Sampled,
     SquareBarrier,
     Step,
+    TransferResult,
     Zero,
     boundary_pair,
     closed_form_barrier,
@@ -135,7 +136,7 @@ def test_turning_point_second_order(amplitude):
     # is the O(w^2) midpoint error alone, a factor 4 per halving
     p = GaussianBump(amplitude=amplitude, sigma=1.0)
     m_l, m_r = boundary_pair(p, amplitude)
-    spectral = spectral_reflection(amplitude, m_l, m_r).reflect_prob
+    spectral = spectral_reflection(m_l, m_r).reflect_prob
     widths = [0.01, 0.005, 0.0025, 0.00125]
     gaps = [abs(transfer_reflection(p, math.sqrt(amplitude), w).reflect_prob - spectral) for w in widths]
     ratios = [a / b for a, b in zip(gaps, gaps[1:])]
@@ -177,3 +178,74 @@ def test_non_finite_momentum_refused(k):
     # EvanescentOverflow, which blamed the slab
     with pytest.raises(ValueError, match=rf"momenta must be positive and finite, got .*{k!r}"):
         transfer_reflection_grid(SquareBarrier(height=2.0, half_width=0.5), [1.0, k], 0.01)
+
+
+@pytest.mark.parametrize("p", [Zero(), SquareBarrier(height=2.0, half_width=0.5)], ids=["zero", "barrier"])
+def test_no_momenta_give_empty_columns(p):
+    res = transfer_reflection_grid(p, [], 0.01)
+    for column in (res.k, res.r_amp, res.t_amp, res.reflect_prob, res.transmit_prob):
+        assert column.shape == (0,)
+    assert list(res) == []
+
+
+def _bits(x):
+    """The bits of a float or complex, so that 0.0 and -0.0 differ."""
+    x = complex(x)
+    return x.real.hex(), x.imag.hex()
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        SquareBarrier(height=2.0, half_width=0.5),
+        GaussianBump(amplitude=4.0, sigma=1.0),
+        truncated(PoschlTeller(nu=2), 1e-12),
+        Zero(),
+    ],
+    ids=["barrier", "gaussian", "pt2_truncated", "zero"],
+)
+def test_columns_match_per_entry_reference(p):
+    # each entry, by index and by iteration, has the bits of the one-momentum
+    # call and of abs(r) ** 2 in Python complex arithmetic
+    ks = np.sqrt(np.linspace(0.5, 8.0, 16))
+    res = transfer_reflection_grid(p, ks, 0.005)
+    assert res.k.shape == res.r_amp.shape == res.t_amp.shape == ks.shape
+    entries = list(res)
+    assert len(entries) == len(ks)
+    for i, k in enumerate(ks):
+        single = transfer_reflection(p, float(k), 0.005)
+        r, t = complex(single.r_amp), complex(single.t_amp)
+        reference = (
+            _bits(float(k)),
+            _bits(r),
+            _bits(t),
+            single.slab_count,
+            _bits(abs(r) ** 2),
+            _bits(abs(t) ** 2),
+            _bits(abs(r) ** 2),
+            _bits(abs(t) ** 2),
+        )
+        for entry in (res[i], entries[i]):
+            got = (
+                _bits(entry.k),
+                _bits(entry.r_amp),
+                _bits(entry.t_amp),
+                entry.slab_count,
+                _bits(entry.reflect_prob),
+                _bits(entry.transmit_prob),
+                _bits(res.reflect_prob[i]),
+                _bits(res.transmit_prob[i]),
+            )
+            assert got == reference, i
+        assert res[i].slab_count == res.slab_count
+
+
+def test_probabilities_have_python_bits_on_random_amplitudes():
+    # numpy's x ** 2 is x * x, which rounds differently from libm's pow for
+    # about one value in 1200; the oracle's columns must keep pow's bits
+    rng = np.random.default_rng(3)
+    r = rng.normal(size=20_000) + 1j * rng.normal(size=20_000)
+    t = rng.random(20_000) * np.exp(2j * np.pi * rng.random(20_000))
+    res = TransferResult(np.ones(20_000), r, t, 1)
+    assert [_bits(x) for x in res.reflect_prob] == [_bits(abs(complex(x)) ** 2) for x in r]
+    assert [_bits(x) for x in res.transmit_prob] == [_bits(abs(complex(x)) ** 2) for x in t]

@@ -18,9 +18,10 @@ from weylscatter import (
     scattering_matrix,
     spectral_reflection,
     transfer_reflection_grid,
+    sweep,
     truncated,
 )
-from weylscatter.scattering import DEFAULT_SUPPORT_THRESHOLD, _reflection_coefficient, boundary_pairs
+from weylscatter.scattering import DEFAULT_SUPPORT_THRESHOLD, _reflection_coefficient
 
 
 def mv(side, m, lam=1.0, err=0.0):
@@ -91,7 +92,7 @@ def test_green00_barrier_against_lattice_oracle():
 
 
 def test_scattering_matrix_free_line():
-    s = scattering_matrix(4.0, mv("left", 2j, 4.0), mv("right", 2j, 4.0))
+    s = scattering_matrix(mv("left", 2j, 4.0), mv("right", 2j, 4.0))
     assert s.s_ll == pytest.approx(0.0, abs=1e-15)
     assert s.s_rr == pytest.approx(0.0, abs=1e-15)
     assert s.s_lr == pytest.approx(-1.0, abs=1e-15)
@@ -100,14 +101,14 @@ def test_scattering_matrix_free_line():
 
 
 def test_scattering_matrix_below_spectrum_identity():
-    s = scattering_matrix(-1.0, mv("left", 1.0 + 0j, -1.0), mv("right", 1.0 + 0j, -1.0))
+    s = scattering_matrix(mv("left", 1.0 + 0j, -1.0), mv("right", 1.0 + 0j, -1.0))
     assert s.s_ll == 1.0 and s.s_rr == 1.0 and s.s_lr == 0.0
 
 
 def test_scattering_matrix_barrier_matches_oracle():
     b = SquareBarrier(height=2.0, half_width=0.5)
     m_l, m_r = boundary_pair(b, 1.0)
-    s, rec = scattering_matrix(1.0, m_l, m_r), spectral_reflection(1.0, m_l, m_r)
+    s, rec = scattering_matrix(m_l, m_r), spectral_reflection(m_l, m_r)
     assert 0.0 < abs(s.s_ll) ** 2 < 1.0
     oracle = transfer_reflection_grid(b, [1.0], 0.01)[0]
     assert abs(s.s_ll) ** 2 == pytest.approx(oracle.reflect_prob, abs=1e-6)
@@ -115,11 +116,11 @@ def test_scattering_matrix_barrier_matches_oracle():
 
 
 def test_spectral_reflection_free_values():
-    rec = spectral_reflection(4.0, mv("left", 2j, 4.0), mv("right", 2j, 4.0))
+    rec = spectral_reflection(mv("left", 2j, 4.0), mv("right", 2j, 4.0))
     assert rec.r_spectral == pytest.approx(0.0, abs=1e-15)
     assert rec.transmit_prob == 1.0
     assert rec.in_S_l and rec.in_S_r
-    rec = spectral_reflection(-1.0, mv("left", 1.0 + 0j, -1.0), mv("right", 1.0 + 0j, -1.0))
+    rec = spectral_reflection(mv("left", 1.0 + 0j, -1.0), mv("right", 1.0 + 0j, -1.0))
     assert rec.r_spectral == 1.0
     assert rec.reflect_prob == 1.0
     assert rec.transmit_prob == 0.0
@@ -135,8 +136,8 @@ def test_identity_s_ll_equals_reflection_on_sweeps():
     for p, grid in grids.items():
         for lam in grid:
             m_l, m_r = boundary_pair(p, float(lam))
-            s = scattering_matrix(float(lam), m_l, m_r)
-            rec = spectral_reflection(float(lam), m_l, m_r)
+            s = scattering_matrix(m_l, m_r)
+            rec = spectral_reflection(m_l, m_r)
             assert abs(s.s_ll - rec.r_spectral) <= 1e-10
             assert s.unitarity_residual() <= 1e-8
             assert abs(abs(s.s_ll) - abs(s.s_rr)) <= 1e-10
@@ -145,10 +146,10 @@ def test_identity_s_ll_equals_reflection_on_sweeps():
 
 def test_total_reflection_when_right_support_empty():
     # right channel closed: |s_ll| = 1 exactly
-    s = scattering_matrix(1.0, mv("left", 0.3 + 0.9j), mv("right", -0.7 + 0j))
+    s = scattering_matrix(mv("left", 0.3 + 0.9j), mv("right", -0.7 + 0j))
     assert abs(s.s_ll) == pytest.approx(1.0, abs=1e-15)
     assert s.s_lr == 0.0
-    rec = spectral_reflection(1.0, mv("left", 0.3 + 0.9j), mv("right", -0.7 + 0j))
+    rec = spectral_reflection(mv("left", 0.3 + 0.9j), mv("right", -0.7 + 0j))
     assert rec.in_S_l and not rec.in_S_r
     assert rec.reflect_prob == pytest.approx(1.0, abs=1e-15)
 
@@ -165,7 +166,7 @@ def test_reflection_conjugation_symmetry():
 
 def test_step_above_both_tails_partial_reflection():
     p = Step(0.0, 1.0)
-    rec = spectral_reflection(4.0, *boundary_pair(p, 4.0))
+    rec = spectral_reflection(*boundary_pair(p, 4.0))
     # plane-wave step formula: |r| = (k - k')/(k + k') with k=2, k'=sqrt(3)
     expected = ((2.0 - np.sqrt(3.0)) / (2.0 + np.sqrt(3.0))) ** 2
     assert rec.reflect_prob == pytest.approx(expected, abs=1e-9)
@@ -174,7 +175,7 @@ def test_step_above_both_tails_partial_reflection():
 
 def test_step_between_tails_total_reflection():
     # 0 < lambda < 1: right channel evanescent, left wave fully reflected
-    rec = spectral_reflection(0.5, *boundary_pair(Step(0.0, 1.0), 0.5))
+    rec = spectral_reflection(*boundary_pair(Step(0.0, 1.0), 0.5))
     assert rec.in_S_l and not rec.in_S_r
     assert rec.reflect_prob == pytest.approx(1.0, abs=1e-9)
 
@@ -217,7 +218,7 @@ def test_scan_grid_validation():
 def test_gaussian_bump_records_consistent():
     p = GaussianBump(amplitude=1.0, sigma=1.0)
     m_l, m_r = boundary_pair(p, 2.0)
-    s, rec = scattering_matrix(2.0, m_l, m_r), spectral_reflection(2.0, m_l, m_r)
+    s, rec = scattering_matrix(m_l, m_r), spectral_reflection(m_l, m_r)
     assert 0 < rec.reflect_prob < 1
     assert abs(s.s_ll - rec.r_spectral) < 1e-10
     assert s.unitarity_residual() < 1e-8
@@ -236,7 +237,7 @@ def test_sampled_potential_routes_agree():
     ]
     for p, lams in cases:
         for lam in lams:
-            rec = spectral_reflection(lam, *boundary_pair(p, lam))
+            rec = spectral_reflection(*boundary_pair(p, lam))
             res = transfer_reflection_grid(p, [float(np.sqrt(lam))], 0.002)[0]
             assert rec.reflect_prob == pytest.approx(res.reflect_prob, abs=1e-6)
 
@@ -279,7 +280,7 @@ def _columns():
         (Step(1.0, 0.0), np.array([-0.5, 0.25, 0.5, 0.75, 2.0, 4.0])),
     ]
     for p, grid in sweeps:
-        yield (grid, *boundary_pairs(p, grid))
+        yield sweep(p, grid)
     rng = np.random.default_rng(7)
     n = 4000
     im = np.abs(rng.normal(size=(2, n)))
@@ -287,18 +288,18 @@ def _columns():
     im[0, 400:600] = 0.0  # off S_l
     m = rng.normal(size=(2, n)) + 1j * im
     err = 1e-14 * rng.random((2, n))
-    lam = np.arange(n, dtype=float)
-    yield lam, MValue("left", lam + 0j, m[0], err[0]), MValue("right", lam + 0j, m[1], err[1])
+    z = np.arange(n) + 0j
+    yield MValue("left", z, m[0], err[0]), MValue("right", z, m[1], err[1])
 
 
 def test_column_algebra_matches_per_energy_reference():
     worst_s = worst_u = 0.0
-    for lam, m_l, m_r in _columns():
-        s = scattering_matrix(lam, m_l, m_r)
-        rec = spectral_reflection(lam, m_l, m_r)
+    for m_l, m_r in _columns():
+        s = scattering_matrix(m_l, m_r)
+        rec = spectral_reflection(m_l, m_r)
         unitarity = s.unitarity_residual()
         entries = s.as_matrix().reshape(-1, 4)
-        assert rec.in_S_l.shape == lam.shape and unitarity.shape == lam.shape
+        assert rec.in_S_l.shape == m_l.m.shape and unitarity.shape == m_l.m.shape
         for i, args in enumerate(zip(m_l.m.tolist(), m_r.m.tolist(), m_l.err_estimate, m_r.err_estimate)):
             ref = _reference(*args)
             assert rec.r_spectral[i] == ref["r"]
@@ -315,13 +316,13 @@ def test_column_algebra_matches_per_energy_reference():
 
 
 def test_column_call_equals_scalar_call():
-    for lam, m_l, m_r in _columns():
-        s = scattering_matrix(lam, m_l, m_r)
-        rec = spectral_reflection(lam, m_l, m_r)
+    for m_l, m_r in _columns():
+        s = scattering_matrix(m_l, m_r)
+        rec = spectral_reflection(m_l, m_r)
         unitarity = s.unitarity_residual()
-        for i in range(len(lam)):
-            s_i = scattering_matrix(lam[i], m_l[i], m_r[i])
-            rec_i = spectral_reflection(lam[i], m_l[i], m_r[i])
+        for i in range(len(m_l.m)):
+            s_i = scattering_matrix(m_l[i], m_r[i])
+            rec_i = spectral_reflection(m_l[i], m_r[i])
             assert np.array_equal(s_i.as_matrix(), s.as_matrix()[i])
             assert s_i.unitarity_residual() == unitarity[i]
             for name in ("r_spectral", "reflect_prob", "transmit_prob", "in_S_l", "in_S_r", "err_estimate"):
@@ -334,4 +335,4 @@ def test_resonant_denominator_names_first_resonant_entry():
     m_r = MValue("right", np.zeros(3, dtype=complex), np.array([1j, -1.0 + 0j, 1j]), np.zeros(3))
     for call in (scattering_matrix, spectral_reflection):
         with pytest.raises(ResonantDenominator, match="at entry 1:"):
-            call(np.arange(3.0), m_l, m_r)
+            call(m_l, m_r)

@@ -22,9 +22,25 @@ from weylscatter import (
     sweep,
     truncated,
 )
-from weylscatter.weyl import _COLUMNS, _NODES, _integrate, _m_halfline
+from weylscatter.weyl import _COLUMNS, _NODES, _integrate
 
 OPTS = SolverOptions()
+
+
+def one_lane(side, p, z, rtol=OPTS.rel_ode_tol, atol=OPTS.abs_ode_tol):
+    """m from one lane of the kernel at these tolerances, any complex z; raises the lane's error."""
+    m, failures = _integrate(
+        p, np.array([complex(z)]), np.array([side == "right"]), np.array([rtol]), np.array([atol]), OPTS
+    )
+    if failures[0] is not None:
+        raise failures[0]
+    return complex(m[0])
+
+
+def columns(pair):
+    """The (left, right) MValue columns of a sweep as one array: m_l, m_r, err_l, err_r."""
+    m_l, m_r = pair
+    return np.array([m_l.m, m_r.m, m_l.err_estimate, m_r.err_estimate])
 
 
 def free_m(z):
@@ -180,7 +196,7 @@ def test_ac_density_epsilon_ladder_stability():
     # brute-force ladder: Im m(lambda + i eps) must approach the boundary value
     lam = 1.0
     vals = [
-        _m_halfline("left", PoschlTeller(nu=1), complex(lam, e), OPTS, 1e-10, 1e-12).imag
+        one_lane("left", PoschlTeller(nu=1), complex(lam, e)).imag
         for e in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
     ]
     gaps = [abs(v - 2.0) for v in vals]
@@ -216,8 +232,8 @@ def test_conjugation_symmetry():
         p = pool[rng.integers(len(pool))]
         z = complex(rng.uniform(-2, 8), rng.uniform(0.1, 3.0))
         side = "left" if rng.integers(2) else "right"
-        up = _m_halfline(side, p, z, OPTS, 1e-10, 1e-12)
-        down = _m_halfline(side, p, z.conjugate(), OPTS, 1e-10, 1e-12)
+        up = one_lane(side, p, z)
+        down = one_lane(side, p, z.conjugate())
         assert abs(down - up.conjugate()) <= 1e-9
 
 
@@ -248,7 +264,7 @@ def test_node_at_origin_at_dirichlet_eigenvalue():
     well = SquareBarrier(height=-5.0, half_width=1.0)
 
     def inv_m(lam):
-        return (1.0 / _m_halfline("right", well, complex(lam), OPTS, 1e-10, 1e-12)).real
+        return (1.0 / one_lane("right", well, lam)).real
 
     a, b = -0.94, -0.92
     fa = inv_m(a)
@@ -306,10 +322,10 @@ def test_sweep_near_closed_forms_on_drift_grid(p, closed_form):
     # an accuracy guard for the kernel and its tolerance scale, on the energies
     # of tests/test_drift.py: the drift pins bound m only by its own err
     grid = [0.23, 1.41, 2.67, 3.9, 5.15, 6.33, 7.58, 9.71]
-    m_l, m_r, _, _ = sweep(p, grid, OPTS)
+    m_l, m_r = sweep(p, grid, OPTS)
     exact = np.array([closed_form(lam) for lam in grid])
-    assert np.abs(m_l - exact).max() <= 1e-13
-    assert np.abs(m_r - exact).max() <= 1e-13
+    assert np.abs(m_l.m - exact).max() <= 1e-13
+    assert np.abs(m_r.m - exact).max() <= 1e-13
 
 
 def test_sweep_attempt_passes():
@@ -361,7 +377,7 @@ def test_failed_lanes_leave_survivors_exact():
             assert np.isnan(m[i])
         else:
             assert failures[i] is None
-            assert m[i] == _m_halfline("left", p, z[i], OPTS, rtol[i], atol[i])
+            assert m[i] == one_lane("left", p, z[i], rtol[i], atol[i])
 
 
 class _CountingBump(GaussianBump):
@@ -500,14 +516,14 @@ def test_sweep_lanes_independent(p):
     # a lane must not feel the rest of its batch: the sweep equals one-energy
     # boundary_m bit for bit, and reversing or subsetting the grid moves no lane
     grid = np.array([0.3, 1.7, 4.4, 8.8])
-    m_l, m_r, err_l, err_r = sweep(p, grid, OPTS)
+    m_l, m_r = sweep(p, grid, OPTS)
+    assert np.array_equal(m_l.z, grid) and np.array_equal(m_r.z, grid)
     for i, lam in enumerate(grid):
         left, right = boundary_m("left", p, lam, OPTS), boundary_m("right", p, lam, OPTS)
-        assert (m_l[i], err_l[i]) == (left.m, left.err_estimate)
-        assert (m_r[i], err_r[i]) == (right.m, right.err_estimate)
-    batch = np.array([m_l, m_r, err_l, err_r])
-    assert np.array_equal(np.array(sweep(p, grid[::-1], OPTS))[:, ::-1], batch)
-    assert np.array_equal(np.array(sweep(p, grid[1::2], OPTS)), batch[:, 1::2])
+        assert m_l[i] == left and m_r[i] == right
+    batch = columns((m_l, m_r))
+    assert np.array_equal(columns(sweep(p, grid[::-1], OPTS))[:, ::-1], batch)
+    assert np.array_equal(columns(sweep(p, grid[1::2], OPTS)), batch[:, 1::2])
 
 
 def test_sweep_emits_no_runtime_warnings():
@@ -522,7 +538,7 @@ def test_sweep_emits_no_runtime_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for p, grid in cases:
-            assert all(np.all(np.isfinite(values)) for values in sweep(p, grid, OPTS))
+            assert np.all(np.isfinite(columns(sweep(p, grid, OPTS))))
         with pytest.raises(OdeStepFailure, match="underflow"):
             sweep(_PoisonedPotential(), [1.0, 2.0], OPTS)
 
