@@ -125,8 +125,8 @@ class RunConfig:
                 raise ConfigParseError(f"{name} must be >= 0, got {value!r}")
         if not self.slab_width > 0:
             raise ConfigParseError(f"slab_width must be > 0, got {self.slab_width!r}")
-        if not isinstance(self.packet, dict):
-            raise ConfigParseError("'packet' must be an object of PacketSpec overrides")
+        # the numbers are read where the packet is built (auto_packet)
+        check_object("packet", self.packet, PacketSpec, extra=TRACE_FIELDS, partial=True)
 
 
 def _parse_grid(raw) -> np.ndarray:
@@ -417,12 +417,12 @@ def _cmd_verify(config: RunConfig):
         _verify_row("lattice_coefficient", "max |c - 1/G00| over 5 random z", coeff_worst, 1e-8)
     )
     model = lattice_model_from_potential(p, n, h, complex(z_cont))
-    report = resolvent_difference_check(model, green00(cont_pair[0].m[0], cont_pair[1].m[0]))
+    g00_cont = complex(green00(cont_pair[0].m[0], cont_pair[1].m[0]))
     rows.append(
         _verify_row(
             "lattice_continuum_g00",
             f"|discrete - continuum| at z={z_cont:g}",
-            report.continuum_resid,
+            abs(resolvent_difference_check(model).g00 - g00_cont),
             1e-2,
         )
     )

@@ -8,7 +8,9 @@ half-lines) satisfy, exactly in exact arithmetic,
 
 with delta_0 the origin unit vector scaled by 1/sqrt(h) and
 G00(z) = [(H - z)^-1]_{00} / h, which converges to the continuum diagonal
-Green function at rate h^2.
+Green function at rate h^2.  The check reports G00 and takes no continuum
+value: the module never calls the m-solver, and comparing the two is the
+caller's.
 
 The check never takes an SVD.  For the fitted coefficient c and the residual
 r = ||D - c g g^T||_F of the difference D, the Eckart-Young theorem and
@@ -60,8 +62,6 @@ LatticeModel none of them can vanish:
 * real z < min(v): by induction u_{i-1} > 1/h^2, so e^2 / u_{i-1} < 1/h^2,
   and every pivot satisfies u_i >= 1/h^2 + v_i - z > 0.
 
-The dense inverse, a reference for the tests, comes from the back sweep
-U X = L^-1, whose row i above the diagonal is X[i, i+1:] = c_i X[i+1, i+1:].
 Error analysis of elimination on tridiagonal matrices: Higham, SIAM J.
 Matrix Anal. Appl. 11 (1990) 521-530.
 """
@@ -114,14 +114,13 @@ class LatticeModel:
 
 @dataclass(frozen=True)
 class RankOneReport:
-    """Residuals of the rank-one identity plus the continuum comparison."""
+    """Residuals of the rank-one identity and the discrete G00 they are taken at."""
 
     sv_ratio: float  # upper bound on second / first singular value of the resolvent difference
     coeff: complex  # best-fit c in  D ~ c g g^T
     coeff_resid: float  # |c - 1/G00|
     entry_resid: float  # |D_00 - g_0^2 / G00|
-    g00_continuum: complex | None
-    continuum_resid: float | None
+    g00: np.complex128  # [(H - z)^-1]_{00} / h
     condition: float  # upper bound on cond_2(H - z)
     convention: str = WEIGHT_CONVENTION
 
@@ -254,36 +253,18 @@ def _difference_blocks(full: _Inverse, left: _Inverse, right: _Inverse):
         yield start, block
 
 
-def _invert_into(out: np.ndarray, diag: np.ndarray, off: float) -> None:
-    """Write the inverse of tridiag(off, diag, off) into out, every entry of it."""
-    pivots = _pivots(diag, off).tolist()
-    out[-1, -1] = 1.0 / pivots[-1]
-    for i in range(len(pivots) - 2, -1, -1):
-        row = out[i, i + 1 :]
-        np.multiply(out[i + 1, i + 1 :], -off / pivots[i], out=row)
-        out[i, i] = (1.0 - off * row[0]) / pivots[i]
-        out[i + 1 :, i] = row
-
-
-def _resolvent(model: LatticeModel) -> np.ndarray:
-    """(H - z)^-1 on the full grid, dense: a reference for the tests."""
-    size = 2 * model.n + 1
-    out = np.empty((size, size), dtype=complex)
-    _invert_into(out, *_tridiagonal(model))
-    return out
-
-
 def decoupled_resolvent(model: LatticeModel) -> np.ndarray:
     """(H_inf - z)^-1 embedded in the full grid: block inverses, zero origin row/column.
 
-    A reference for the tests: the check never builds this matrix.
+    Filled column by column from the two half-line inverses the check uses;
+    the check itself never builds this matrix.
     """
-    size = 2 * model.n + 1
     mid = model.n
-    diag, off = _tridiagonal(model)
-    out = np.zeros((size, size), dtype=complex)
-    for block in (slice(None, mid), slice(mid + 1, None)):
-        _invert_into(out[block, block], diag[block], off)
+    _, left, right = _inverses(model)
+    out = np.zeros((2 * mid + 1, 2 * mid + 1), dtype=complex)
+    for j in range(mid):
+        out[:mid, j] = left.column(j)
+        out[mid + 1 :, mid + 1 + j] = right.column(j)
     return out
 
 
@@ -293,14 +274,11 @@ def _sum_squares(a: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", parts, parts))
 
 
-def resolvent_difference_check(
-    model: LatticeModel, g00_continuum: complex | None = None
-) -> RankOneReport:
+def resolvent_difference_check(model: LatticeModel) -> RankOneReport:
     """Verify the rank-one identity on the model, from the tridiagonal elimination.
 
-    When the continuum diagonal Green function -1/(m_l + m_r) at the same z
-    is supplied, the report also gives its gap to the discrete G00 (expected
-    O(h^2)).
+    The report carries the discrete G00, which converges at O(h^2) to the
+    continuum diagonal Green function -1/(m_l + m_r) at the same z.
     """
     mid = model.n
     z = model.z
@@ -337,17 +315,11 @@ def resolvent_difference_check(
     resid = math.sqrt(total)
     lead = abs(coeff) * g_norm2 - resid
     sv_ratio = resid / lead if lead > 0.0 else math.inf
-
-    cont_resid = None
-    if g00_continuum is not None:
-        g00_continuum = complex(g00_continuum)
-        cont_resid = float(abs(g00 - g00_continuum))
     return RankOneReport(
         sv_ratio=float(sv_ratio),
         coeff=coeff,
         coeff_resid=coeff_resid,
         entry_resid=entry_resid,
-        g00_continuum=g00_continuum,
-        continuum_resid=cont_resid,
+        g00=g00,
         condition=condition,
     )

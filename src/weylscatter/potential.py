@@ -125,12 +125,11 @@ class Potential:
 
     def _gauss(self, lo, hi):
         """Integral of V over each [lo, hi] by the Gauss rule, and the largest |V| at its nodes."""
-        rule_x, rule_w = _gauss_legendre()
-        nodes = 0.5 * (lo + hi)[:, None] + (0.5 * (hi - lo))[:, None] * rule_x
+        nodes = 0.5 * (lo + hi)[:, None] + (0.5 * (hi - lo))[:, None] * _GL_NODES
         v = np.asarray(self.value(nodes))
         # deviations from the first node keep constant pieces exact, and a row
         # sum, unlike a BLAS product, rounds the same in any batch
-        mean = v[:, 0] + 0.5 * np.sum((v - v[:, :1]) * rule_w, axis=1)
+        mean = v[:, 0] + 0.5 * np.sum((v - v[:, :1]) * _GL_WEIGHTS, axis=1)
         return (hi - lo) * mean, np.abs(v).max(axis=1)
 
 
@@ -232,10 +231,6 @@ _GL_WEIGHTS = np.array(
     ]
 )
 _GL_NODES.flags.writeable = _GL_WEIGHTS.flags.writeable = False
-
-
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    return _GL_NODES, _GL_WEIGHTS
 
 
 _MEAN_TOL = 1e-14

@@ -250,9 +250,6 @@ def test_verify_makes_no_eigendecomposition(tmp_path, monkeypatch):
     # the lattice check guards its solve with a closed-form condition bound
     # and inverts by elimination, and the cell-average quadrature rule is a
     # table of constants: from a cold start, verify calls no dense solver
-    from weylscatter.potential import _gauss_legendre
-
-    getattr(_gauss_legendre, "cache_clear", lambda: None)()
     calls = []
 
     def refused(name):
@@ -321,6 +318,19 @@ def test_bad_packet_field_exits_2(packet, field, tmp_path, capsys):
     assert main(["wavepacket", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "validation error" in err and field in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["mfunction", "scatter", "reflect", "wavepacket", "verify", "scan"])
+def test_unknown_packet_field_exits_2(command, tmp_path, capsys):
+    # only wavepacket used to refuse it: the other five ran and exited 0
+    cfg = write_config(
+        tmp_path, "b.json", {"potential": BARRIER, "lambda_grid": [2.0, 3.0], "packet": {"bogus": 1}}
+    )
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "unknown packet fields: bogus" in err, err
     assert not out.exists()
 
 

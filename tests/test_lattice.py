@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import inspect
 import math
 import tracemalloc
 
@@ -21,7 +23,7 @@ from weylscatter import (
     resolvent_difference_check,
     truncated,
 )
-from weylscatter import lattice
+from weylscatter import lattice, oracle
 
 
 def _hamiltonian(
@@ -45,6 +47,41 @@ def _hamiltonian(
     return ham
 
 
+def _invert_into(out: np.ndarray, diag: np.ndarray, off: float) -> None:
+    """Write the inverse of tridiag(off, diag, off) into out, every entry of it.
+
+    The back sweep U X = L^-1 of the elimination, whose row i above the
+    diagonal is X[i, i+1:] = c_i X[i+1, i+1:]: a dense reference that shares
+    only the pivots with the check's O(N) inverse.
+    """
+    pivots = lattice._pivots(diag, off).tolist()
+    out[-1, -1] = 1.0 / pivots[-1]
+    for i in range(len(pivots) - 2, -1, -1):
+        row = out[i, i + 1 :]
+        np.multiply(out[i + 1, i + 1 :], -off / pivots[i], out=row)
+        out[i, i] = (1.0 - off * row[0]) / pivots[i]
+        out[i + 1 :, i] = row
+
+
+def _resolvent(model: LatticeModel) -> np.ndarray:
+    """(H - z)^-1 on the full grid, dense, by the back sweep."""
+    size = 2 * model.n + 1
+    out = np.empty((size, size), dtype=complex)
+    _invert_into(out, *lattice._tridiagonal(model))
+    return out
+
+
+def _decoupled(model: LatticeModel) -> np.ndarray:
+    """(H_inf - z)^-1 embedded in the full grid, dense, by the back sweep on each half-line."""
+    size = 2 * model.n + 1
+    mid = model.n
+    diag, off = lattice._tridiagonal(model)
+    out = np.zeros((size, size), dtype=complex)
+    for block in (slice(None, mid), slice(mid + 1, None)):
+        _invert_into(out[block, block], diag[block], off)
+    return out
+
+
 def _continuum_g00(p, lam):
     """-1/(m_l + m_r) at a real energy below the spectrum, from the m-solver."""
     m_l, m_r = boundary_pair(p, lam)
@@ -53,13 +90,14 @@ def _continuum_g00(p, lam):
 
 def test_zero_potential_at_minus_one():
     model = LatticeModel(n=200, h=0.05, v=np.zeros(401), z=-1.0)
-    report = resolvent_difference_check(model, _continuum_g00(Zero(), -1.0))
+    report = resolvent_difference_check(model)
+    g00 = _continuum_g00(Zero(), -1.0)
     assert report.sv_ratio <= 1e-10
     assert report.coeff_resid <= 1e-8
     assert report.entry_resid <= 1e-10
     # free-line G00(-1) = -1/(m_l + m_r) = 1/2, discrete value O(h^2) away
-    assert report.g00_continuum == pytest.approx(0.5, abs=1e-12)
-    assert report.continuum_resid < 1e-3
+    assert g00 == pytest.approx(0.5, abs=1e-12)
+    assert abs(report.g00 - g00) < 1e-3
 
 
 def test_barrier_at_complex_energy():
@@ -87,6 +125,9 @@ def test_decoupling_exact_zero_blocks():
     assert np.all(r_inf[mid:, :mid] == 0.0)
     assert np.all(r_inf[mid, :] == 0.0)
     assert np.all(r_inf[:, mid] == 0.0)
+    # the blocks, filled from the check's O(N) inverses, against the back sweep
+    dense = _decoupled(model)
+    assert np.abs(r_inf - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 @pytest.mark.parametrize("z", [2 + 1j, -0.5 + 1.5j, -1.0])
@@ -221,13 +262,13 @@ def test_difference_blocks_match_dense_difference():
     for model in models:
         mid = model.n
         full, left, right = lattice._inverses(model)
-        diff = lattice._resolvent(model)
+        diff = _resolvent(model)
         # the O(N) pieces the coefficient comes from: the origin column and the solves
         rhs = np.cos(np.arange(len(diff))) + 1j
         assert np.abs(full.column(mid) - diff[:, mid]).max() <= 1e-12 * np.abs(diff[:, mid]).max()
         expected = np.einsum("ij,j->i", diff, rhs)
         assert np.abs(full.solve(rhs) - expected).max() <= 1e-12 * np.abs(expected).max()
-        diff -= decoupled_resolvent(model)
+        diff -= _decoupled(model)
         scale = np.abs(diff).max()
         rows = 0
         for start, block in lattice._difference_blocks(full, left, right):
@@ -269,8 +310,8 @@ def test_elimination_matches_dense_inverse():
     # inverses of the dense matrices, at complex z and verify's real z_cont
     for model in _elimination_models():
         mid = model.n
-        _assert_inverts(lattice._resolvent(model), _hamiltonian(model, z=model.z))
-        decoupled = decoupled_resolvent(model)
+        _assert_inverts(_resolvent(model), _hamiltonian(model, z=model.z))
+        decoupled = _decoupled(model)
         for nodes in (slice(None, mid), slice(mid + 1, None)):
             _assert_inverts(decoupled[nodes, nodes], _hamiltonian(model, nodes, model.z))
 
@@ -318,8 +359,8 @@ def test_mesh_convergence_second_order():
     for h in (0.1, 0.05, 0.025):
         n = int(round(12.0 / h))
         model = lattice_model_from_potential(p, n, h, -1.0)
-        report = resolvent_difference_check(model, g00)
-        errs.append(report.continuum_resid)
+        report = resolvent_difference_check(model)
+        errs.append(abs(report.g00 - g00))
     orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
     assert min(orders) >= 1.8, orders
 
@@ -381,3 +422,19 @@ def test_model_refuses_non_integral_size():
         LatticeModel(n=3.5, h=0.1, v=[0.0] * 8, z=-1.0)
     with pytest.raises(ValueError, match="^h: "):
         LatticeModel(n=3, h=True, v=[0.0] * 7, z=-1.0)
+
+
+@pytest.mark.parametrize("module", [oracle, lattice], ids=lambda m: m.__name__)
+def test_route_imports_only_errors_and_potential(module):
+    # the oracle and the lattice are independent routes: neither reaches the
+    # m-solver, the scattering algebra or another route, and the lattice
+    # takes no continuum value in
+    package = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            package.add(node.module or "")
+        elif isinstance(node, ast.ImportFrom):
+            assert not node.module.startswith("weylscatter"), node.module
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("weylscatter") for alias in node.names)
+    assert package == {"errors", "potential"}

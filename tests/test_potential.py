@@ -256,9 +256,8 @@ def test_gauss_legendre_constants():
     # the bits of numpy's rule, and exact on polynomials of degree 15 up to
     # the rule's own error: summed in exact rational arithmetic, these nodes
     # and weights miss the integral of x^2 by 1.15e-15
-    from weylscatter.potential import _gauss_legendre
+    from weylscatter.potential import _GL_NODES as nodes, _GL_WEIGHTS as weights
 
-    nodes, weights = _gauss_legendre()
     ref_nodes, ref_weights = np.polynomial.legendre.leggauss(8)
     assert nodes.tobytes() == ref_nodes.tobytes()
     assert weights.tobytes() == ref_weights.tobytes()
