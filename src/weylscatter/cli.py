@@ -22,12 +22,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .dynamics import IncidentBand, PacketSpec, band_reflection, evolve_packet, incident_band
+from .dynamics import DEFAULT_DT, IncidentBand, PacketSpec, band_reflection, default_dt, evolve_packet, incident_band
 from .errors import ConfigParseError, ValidationError, WeylScatterError
 from .lattice import lattice_model_from_potential, resolvent_difference_check
 from .oracle import transfer_reflection_grid
@@ -249,6 +249,15 @@ def auto_packet(p: Potential, overrides: dict) -> tuple[PacketSpec, int, str | N
 
     overrides, the config's packet object, may give PacketSpec's fields and the
     TRACE_FIELDS; a trace_path needs a trace_stride >= 1, and the other way round.
+
+    Without a dt, dynamics.default_dt sizes the step from V on the packet's
+    grid, once PacketSpec has read the fields it uses.  A V whose spectrum
+    exceeds 1e-3 of its peak at some momentum q >= sqrt(pi / 0.2) (k0 + 4 /
+    sigma_x), as at a jump, a kink or a narrow bump, keeps DEFAULT_DT, 0.01.
+    A smooth V takes the largest dt = 0.25 / m, m whole, with
+    dt * max(k_loc^2, max |V|) <= 0.2 and k_loc^2 = (k0 + 4 / sigma_x)^2 -
+    min(lower_bound, 0), never below 0.01: 1/24 for the Gaussian of
+    amplitude 1, sigma 1, and 1/56 for PT nu = 2.
     """
     overrides = check_object("packet", overrides, PacketSpec, extra=TRACE_FIELDS, partial=True)
 
@@ -290,9 +299,11 @@ def auto_packet(p: Potential, overrides: dict) -> tuple[PacketSpec, int, str | N
         sigma_x=sigma,
         half_length=half_length,
         n_points=overrides.get("n_points", n_default),
-        dt=overrides.get("dt", 0.01),
+        dt=overrides.get("dt", DEFAULT_DT),
         t_max=overrides.get("t_max", 3.0 * (abs(x0) + half_length) / v_slow),
     )
+    if "dt" not in overrides:
+        spec = replace(spec, dt=default_dt(p, spec))
     return spec, trace_stride, trace_path
 
 

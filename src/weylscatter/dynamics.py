@@ -27,6 +27,17 @@ from .weyl import MValue, SolverOptions, sweep
 _INTERACTION_MASS_TOL = 1e-6
 _EDGE_MASS_TOL = 1e-4
 _DENSITY_CUTOFF = 1e-13  # relative weight below which momentum bins are ignored
+_CHECK_TIME = 0.25  # evolve_packet measures the masses every round(_CHECK_TIME / dt) steps
+# default_dt's rule.  Measured at the default packet: at _STEP_PHASE the
+# Gaussians of amplitude 1, 4 and -3 at sigma 1, -4 at sigma 0.5 and 1 at
+# sigma 5, and truncated PT nu = 1, 2, 3 keep |left_mass - predicted_reflect|
+# at or below 3.4e-5.  _ROUGH_LEVEL keeps at DEFAULT_DT a barrier, a well,
+# sampled tents and kinks (spectrum 7e-3 to 0.27 of its peak) and the
+# Gaussians of sigma 0.3 and 0.2, whose smooth-rule dt reads 1.6e-3 and, at
+# phase 0.4, raises BoundaryLeak; the smooth ones read at most 1e-4
+DEFAULT_DT = 0.01
+_STEP_PHASE = 0.2
+_ROUGH_LEVEL = 1e-3
 # grids from here on take the four-step FFT.  Below it the plain one-FFT step
 # is faster (about 1.4x per step at 1024 points, even at 2048-4096, on a 2-vCPU
 # Xeon) and keeps small-grid artifacts byte-identical
@@ -56,8 +67,8 @@ class PacketSpec:
             raise InvalidPacket("k0, sigma_x, half_length must be positive")
         if not (self.dt > 0 and self.t_max > 0):
             raise InvalidPacket("dt and t_max must be positive")
-        # evolve_packet counts steps as t_max / dt and checks every 0.25 / dt
-        if not (math.isfinite(self.t_max / self.dt) and math.isfinite(0.25 / self.dt)):
+        # evolve_packet counts steps as t_max / dt and checks every _CHECK_TIME / dt
+        if not (math.isfinite(self.t_max / self.dt) and math.isfinite(_CHECK_TIME / self.dt)):
             raise InvalidPacket(f"dt = {self.dt!r} too small: the step count overflows")
         n = self.n_points
         if n < 2 or (n & (n - 1)) != 0:
@@ -96,9 +107,16 @@ class SplitStepPropagator:
     """Strang-split spectral stepper: half potential, full kinetic, half potential.
 
     Each step is exactly unitary up to roundoff, so the discrete norm is a
-    conserved quantity of the scheme.  V is sampled as cell averages, integrated
-    between its breakpoints by Gauss-Legendre: pointwise sampling of a
-    discontinuous V quantizes its width to the grid and biases reflection at O(dx).
+    conserved quantity of the scheme.  V is `_sampled_potential`: a cell
+    [x_j - dx/2, x_j + dx/2] takes the node value V(x_j), unless the closed
+    cell holds a breakpoint; then it takes `mean_value`, the average
+    integrated between the breakpoints by Gauss-Legendre.  A node sample of a
+    jump quantizes its position to the grid and biases reflection at O(dx).
+    On a smooth piece the average does harm: it shifts V by dx^2 V''/24, an
+    O(dx^2) change of the operator that hides the step's own O(dt^2) error,
+    where node samples converge spectrally.  Constant and linear pieces
+    average to their node value, so a piecewise linear V is the same array
+    either way.
 
     `step` works in place on one complex array of shape (n1, n2), n1 * n2 =
     n_points, holding psi in row-major order.  numpy's FFT allocates a scratch
@@ -137,7 +155,7 @@ class SplitStepPropagator:
         if not (self.half_length > 0 and self.n_points > 0 and self.dt > 0):
             raise InvalidPacket("half_length, n_points and dt must be positive")
         self.x, self.dx, self.k = _grid(self.half_length, self.n_points)
-        self.v = self._cell_averaged(p)
+        self.v = _sampled_potential(p, self.x, self.dx)
         n1 = _split_rows(self.n_points)
         n2 = self.n_points // n1
         self._shape = (n1, n2)
@@ -152,10 +170,6 @@ class SplitStepPropagator:
             first, stop = (rows[0], rows[-1] + 1) if rows.size else (0, 0)
             if stop - first <= n1 // 4:
                 self._rank_update = _RankUpdate(self._half_potential, first, stop)
-
-    def _cell_averaged(self, p: Potential) -> np.ndarray:
-        half = 0.5 * self.dx
-        return p.mean_value(self.x - half, self.x + half)
 
     def step(self, psi: np.ndarray, n_steps: int = 1) -> np.ndarray:
         a = np.array(psi, dtype=complex).reshape(self._shape)
@@ -230,6 +244,45 @@ def _split_rows(n: int) -> int:
     if n < _SPLIT_MIN_POINTS:
         return 1
     return max(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
+
+
+def _sampled_potential(p: Potential, x: np.ndarray, dx: float) -> np.ndarray:
+    """V on the grid x of spacing dx: the node value, or the cell mean on a
+    closed cell [x_j - dx/2, x_j + dx/2] that holds a breakpoint of p; see
+    SplitStepPropagator.  A breakpoint on a cell edge lies in both cells."""
+    lo, hi = x - 0.5 * dx, x + 0.5 * dx
+    v = np.array(p.value(x), dtype=float)
+    edges = np.sort(p.breakpoints())
+    holds = np.flatnonzero(np.searchsorted(edges, lo, side="left") < np.searchsorted(edges, hi, side="right"))
+    if holds.size:
+        v[holds] = p.mean_value(lo[holds], hi[holds])
+    return v
+
+
+def default_dt(p: Potential, spec: PacketSpec) -> float:
+    """The split step's dt for spec's packet on p, when the packet gives none.
+
+    A smooth V takes the largest dt = _CHECK_TIME / m, m whole, with
+    dt * max(k_loc^2, max |V|) <= _STEP_PHASE, where k_loc^2 = k_top^2 -
+    min(lower_bound, 0) is the packet's top local momentum squared and
+    k_top = k0 + 4 / sigma_x; its O(dt^2) splitting error stays small.  V is
+    read as the propagator samples it on spec's grid.  It is rough (a jump, a
+    kink, a bump narrow on the packet's scale) when its spectrum |V_hat(q)|
+    exceeds _ROUGH_LEVEL of its peak at some q >= sqrt(pi / _STEP_PHASE) k_top,
+    past which that dt's phase dt q^2 can pass pi, or when the grid does not
+    reach that q.  A rough V keeps DEFAULT_DT, as does any dt below it.
+    """
+    x, dx, _ = _grid(spec.half_length, spec.n_points)
+    v = _sampled_potential(p, x, dx)
+    spectrum = np.abs(np.fft.rfft(v))
+    q = 2.0 * math.pi / (spec.n_points * dx) * np.arange(spectrum.size)
+    k_top = spec.k0 + 4.0 / spec.sigma_x
+    high = spectrum[q >= math.sqrt(math.pi / _STEP_PHASE) * k_top]
+    if not high.size or np.max(high) > _ROUGH_LEVEL * np.max(spectrum):
+        return DEFAULT_DT
+    rate = max(k_top**2 - min(p.lower_bound, 0.0), float(np.max(np.abs(v))))
+    steps = math.ceil(_CHECK_TIME * rate / _STEP_PHASE)
+    return _CHECK_TIME / min(steps, round(_CHECK_TIME / DEFAULT_DT))
 
 
 def _grid(half_length: float, n_points: int) -> tuple[np.ndarray, float, np.ndarray]:
@@ -339,7 +392,7 @@ def evolve_packet(p: Potential, spec: PacketSpec, trace_stride: int = 0) -> Pack
     )
     t_min = abs(spec.x0) / (2.0 * spec.k0)
 
-    check_every = max(1, int(round(0.25 / spec.dt)))
+    check_every = max(1, int(round(_CHECK_TIME / spec.dt)))
     n_total = int(math.ceil(spec.t_max / spec.dt))
     trace: list[tuple[float, float, float, float]] = []
 

@@ -246,6 +246,36 @@ def test_verify_gaussian_fine_slab_passes_oracle(slab_width, tmp_path):
     assert row["status"] == "pass", row
 
 
+SMOOTH_PROBES = {
+    "gaussian_1_1": {"kind": "gaussian", "amplitude": 1.0, "sigma": 1.0},
+    "gaussian_4_1": {"kind": "gaussian", "amplitude": 4.0, "sigma": 1.0},
+    "gaussian_-3_1": {"kind": "gaussian", "amplitude": -3.0, "sigma": 1.0},
+    "gaussian_-4_0.5": {"kind": "gaussian", "amplitude": -4.0, "sigma": 0.5, "center": 0.5},
+    "gaussian_1_5": {"kind": "gaussian", "amplitude": 1.0, "sigma": 5.0},
+    "pt1_truncated": {"kind": "poschl_teller", "nu": 1, "truncate_tol": 1e-12},
+    "pt2_truncated": {"kind": "poschl_teller", "nu": 2, "truncate_tol": 1e-12},
+    "pt3_truncated": {"kind": "poschl_teller", "nu": 3, "truncate_tol": 1e-12},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMOOTH_PROBES))
+def test_verify_smooth_potential_longer_step_keeps_margin(name, tmp_path):
+    # a smooth V takes a longer packet step by default; the dynamical row
+    # must stay 100x under its unchanged 1e-2 bound
+    from weylscatter.cli import auto_packet
+    from weylscatter.potential import potential_from_config
+
+    potential = SMOOTH_PROBES[name]
+    assert auto_packet(potential_from_config(potential), {})[0].dt > 0.01
+    cfg = write_config(tmp_path, "v.json", {"potential": potential})
+    out = tmp_path / "verify.csv"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = {row["check"]: row for row in parse_csv(out)[1]}
+    assert float(rows["dynamical_vs_spectral"]["tolerance"]) == 1e-2
+    assert float(rows["dynamical_vs_spectral"]["residual"]) <= 1e-4
+    assert rows["packet_norm_drift"]["status"] == "pass"
+
+
 def test_verify_makes_no_eigendecomposition(tmp_path, monkeypatch):
     # the lattice check guards its solve with a closed-form condition bound
     # and inverts by elimination, and the cell-average quadrature rule is a

@@ -31,6 +31,13 @@ trees:
   commit before it (child of 4d33b69) reduced D by einsum, without BLAS:
   the bytes before that held the partial sums of OpenBLAS `vdot` on two
   threads, and moved with the thread count, by up to 2.1e-14.
+  The `dynamical_vs_spectral` and `packet_norm_drift` rows of
+  gaussian_verify and pt2_truncated_verify come from the commit that
+  samples V at the grid nodes where it is smooth and lets a smooth V take a
+  longer step (child of e5954ac; the Gaussian's dt 1/24, PT's 1/56).  They
+  moved from 2.4504e-4 to 2.5035e-6 and from 3.07e-13 to 6.37e-14
+  (Gaussian), and from 3.527e-7 to 2.555e-10 and from 4.04e-13 to 1.63e-13
+  (truncated PT nu=2); the barrier's V and dt, and so its rows, are as before.
   Every row must match byte for byte except two, which the
   earlier references (commit b3d8728) needed: `lattice_rank_one` reports an
   upper bound on sv2/sv1, so its residual may only grow, and must still

@@ -12,6 +12,7 @@ from weylscatter import (
     NotConverged,
     PacketSpec,
     PoschlTeller,
+    Sampled,
     SplitStepPropagator,
     SquareBarrier,
     Zero,
@@ -231,3 +232,109 @@ def test_propagator_reads_fields_by_annotation():
     for args, name in cases:
         with pytest.raises(InvalidPacket, match=name):
             SplitStepPropagator(Zero(), *args)
+
+
+# the default packets of the benchmark's smooth potentials; each gap is
+# |left_mass - predicted_reflect|
+GAUSSIAN = GaussianBump(amplitude=1.0, sigma=1.0)
+PT2_TRUNCATED = truncated(PoschlTeller(nu=2), 1e-12)
+
+
+def _default_packet(p, **packet):
+    from weylscatter.cli import auto_packet
+
+    return auto_packet(p, packet)[0]
+
+
+def _gap(p, spec):
+    return abs(evolve_packet(p, spec).left_mass - predicted_reflection(p, spec))
+
+
+@pytest.mark.parametrize("p, bound", [(GAUSSIAN, 1e-5), (PT2_TRUNCATED, 1e-8)], ids=["gaussian", "pt2"])
+def test_node_samples_resolve_smooth_potentials(p, bound):
+    # cell averages shift V by dx^2 V''/24 and read 2.45e-4 and 3.5e-7 here
+    assert _gap(p, _default_packet(p, dt=0.01)) <= bound
+
+
+def test_smooth_gap_falls_as_dt_squared():
+    # with V's O(dx^2) cell-average error gone the gap is the split step's
+    # own O(dt^2) error: about 4x per halving of dt
+    gaps = [_gap(GAUSSIAN, _default_packet(GAUSSIAN, dt=dt)) for dt in (0.04, 0.02, 0.01)]
+    assert _default_packet(GAUSSIAN).n_points == 1024
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 3.0 <= coarse / fine <= 5.0, gaps
+
+
+def test_cells_holding_a_breakpoint_take_the_cell_mean():
+    # dx = 0.25, so nodes and cell edges are exact: a breakpoint on node 3
+    # lies in cell 3 only, one on the edge between cells 40 and 41 in both
+    class Marked(GaussianBump):
+        def breakpoints(self):
+            return (-8.0 + 3 * 0.25, -8.0 + 40.5 * 0.25)
+
+        def mean_value(self, a, b):
+            return np.full(np.shape(a), -1.0)
+
+    prop = SplitStepPropagator(Marked(amplitude=1.0, sigma=3.0), 8.0, 64, 0.01)
+    assert np.flatnonzero(prop.v == -1.0).tolist() == [3, 40, 41]
+    others = prop.v != -1.0
+    assert np.array_equal(prop.v[others], GaussianBump(amplitude=1.0, sigma=3.0).value(prop.x[others]))
+
+
+def _d4_draw(index):
+    """Draw `index` of the ten random sampled potentials of ROADMAP D4."""
+    rng = np.random.default_rng(20261020)
+    for _ in range(index + 1):
+        k = rng.integers(3, 9)
+        xs = np.sort(rng.uniform(-3, 3, k))
+        vs = rng.uniform(-3, 4, k)
+    vs[0] = vs[-1] = 0.0
+    return Sampled(xs=xs, vs=vs)
+
+
+ROUGH = {
+    "barrier": SquareBarrier(height=2.0, half_width=0.5),
+    "well": SquareBarrier(height=-3.0, half_width=1.2, center=0.4),
+    "sampled": Sampled(xs=[-2.0, -1.0, 0.0, 1.0, 2.0], vs=[0.0, 1.0, 2.0, 1.0, 0.0]),
+    "d4_draw_3": _d4_draw(3),
+    "d4_draw_5": _d4_draw(5),
+    "gaussian_4_0.3": GaussianBump(amplitude=4.0, sigma=0.3),
+    "gaussian_6_0.2": GaussianBump(amplitude=6.0, sigma=0.2),
+}
+
+
+# the default packet grid and the 8192-point one of the drift pins
+GRIDS = {"default": {}, "8192": {"half_length": 300.0, "n_points": 8192}}
+
+
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+@pytest.mark.parametrize("name", ["barrier", "sampled"])
+def test_piecewise_linear_v_is_every_cell_mean(name, grid):
+    # constant and linear pieces average to their node value, so the V of
+    # the pinned barrier and sampled packets keeps its bits
+    p, packet = ROUGH[name], GRIDS[grid]
+    spec = _default_packet(p, **packet)
+    prop = SplitStepPropagator(p, spec.half_length, spec.n_points, spec.dt)
+    assert spec.n_points == packet.get("n_points", 1024)
+    assert np.array_equal(prop.v, p.mean_value(prop.x - 0.5 * prop.dx, prop.x + 0.5 * prop.dx))
+
+
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+@pytest.mark.parametrize("name", sorted(ROUGH))
+def test_rough_potentials_keep_the_default_step(name, grid):
+    # jumps, kinks and bumps narrow on the packet's scale feed momenta whose
+    # phase dt k^2 a longer step would alias; a narrow bump has no breakpoint
+    assert _default_packet(ROUGH[name], **GRIDS[grid]).dt == 0.01
+
+
+@pytest.mark.parametrize("p, steps", [(GAUSSIAN, 6), (PT2_TRUNCATED, 14)], ids=["gaussian", "pt2"])
+def test_smooth_potentials_take_a_longer_step(p, steps):
+    # dt = 0.25 / m, the largest with dt * max(k_loc^2, max |V|) <= 0.2:
+    # k_loc^2 = (1.5 + 4/6)^2 = 4.69, plus 6 in PT's well
+    for packet in GRIDS.values():
+        assert _default_packet(p, **packet).dt == 0.25 / steps
+
+
+def test_explicit_dt_wins():
+    assert _default_packet(GAUSSIAN, dt=0.005).dt == 0.005
+    assert _default_packet(ROUGH["barrier"], dt=0.02).dt == 0.02
