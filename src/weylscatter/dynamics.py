@@ -38,10 +38,6 @@ _CHECK_TIME = 0.25  # evolve_packet measures the masses every round(_CHECK_TIME 
 DEFAULT_DT = 0.01
 _STEP_PHASE = 0.2
 _ROUGH_LEVEL = 1e-3
-# grids from here on take the four-step FFT.  Below it the plain one-FFT step
-# is faster (about 1.4x per step at 1024 points, even at 2048-4096, on a 2-vCPU
-# Xeon) and keeps small-grid artifacts byte-identical
-_SPLIT_MIN_POINTS = 8192
 
 
 @dataclass(frozen=True)
@@ -119,33 +115,43 @@ class SplitStepPropagator:
     either way.
 
     `step` works in place on one complex array of shape (n1, n2), n1 * n2 =
-    n_points, holding psi in row-major order.  numpy's FFT allocates a scratch
-    array of n complex values on every call; from n_points = 8192 that is
-    128 KiB or more, glibc's default mmap threshold, so a call can map and
-    fault in fresh pages however its output is buffered.  There n1 is the
-    largest divisor of n_points not above its square root, and each transform
-    is Bailey's four-step FFT: short FFTs down the columns, a twiddle multiply
-    exp(-2 pi i k1 j2 / n), short FFTs along the rows.  The result sits in
-    transposed order, entry (k1, k2) holding momentum index k1 + n1 k2, and
-    the kinetic phase is stored in that order, so no transpose is ever built.
+    n_points, holding psi in row-major order.  n1 is the largest divisor of
+    n_points not above its square root, and R the run of rows whose half
+    phase exp(-i dt V / 2) is not exactly 1.  If |R| > min(2, n1 // 4), n1 = 1
+    and each step is the plain one-FFT Strang step, bit for bit.  Otherwise
+    the step takes the rank path, as it does for any V within one row
+    (n_points / n1 cells) of the origin, a row boundary when n1 is even.
 
+    On the rank path each transform is Bailey's four-step FFT: short FFTs down
+    the columns, a twiddle multiply exp(-2 pi i k1 j2 / n), short FFTs along
+    the rows.  Entry (k1, k2) of the result holds momentum index k1 + n1 k2,
+    and the kinetic phase is stored in that order, so no transpose is built.
     A call of n steps keeps psi column-transformed from its first step to its
-    last: it opens with half a potential step and one column FFT and closes
-    with one column IFFT and half a potential step.  Between two steps the
-    column-domain operator colFFT E colIFFT, E = exp(-i dt V), is applied in
-    one of two ways.  E differs from 1 only on R, the run of rows whose half
-    phase is not exactly 1.  When |R| <= n1 / 4 it is the rank-|R| update
-    B += C_R (D Y), Y = C_R^-1 B, where C_R holds the columns R of the
-    length-n1 DFT matrix, C_R^-1 the rows R of its inverse and D the rows R
-    of E - 1, formed from the two half phases.  Otherwise it is the column
-    pair colIFFT, E, colFFT, and n steps are the n plain four-step Strang
-    steps, bit for bit.  On a 2-vCPU Xeon the rank update at |R| = 2 takes
-    about 35 us at n1 = 64 and 60 us at n1 = 128, the column pair 100-150 and
-    250-300 us.  With one BLAS thread the two cross near |R| = 0.4 n1; with
-    OpenBLAS's default threads, which it starts from |R| n_points = 65536 on,
-    they cost about the same at |R| = n1 / 4.  n steps make 2n + 2 FFTs on
-    the rank path and 4n on the column pair.  Below 8192 points n1 = 1, and a
-    step is the plain one-FFT Strang step, bit for bit.
+    last, and between two steps applies colFFT E colIFFT, E = exp(-i dt V),
+    as the rank-|R| update B += C_R (D Y), Y = C_R^-1 B: C_R holds the
+    columns R of the length-n1 DFT matrix, C_R^-1 the rows R of its inverse
+    and D the rows R of E - 1.  n steps make 2n + 2 short FFTs where the plain
+    path makes 2n long ones; numpy's FFT allocates an n-point scratch array
+    per call, which from 128 KiB can map and fault in fresh pages.
+
+    Per step in us, median [quartiles] of 15 runs (3 processes) on a 2-vCPU
+    Xeon, numpy 2.4, box half-length 300, dt 0.01; barrier height 2,
+    half-width 0.5; Gaussian amplitude 1, sigma 1.  p marks this rule's path,
+    b the earlier rule's: plain below 8192 points, else rank for |R| <= n1/4.
+    Up to 16384 points p is never slower than the other path by more than its
+    quartile spread; at 32768 the Gaussian's plain step takes half as long
+    again as the earlier rule's rank update.  From 8192 points the earlier
+    rule joined the steps of a V on more than n1/4 rows by a column IFFT/FFT
+    pair, which this Gaussian, forced onto it, ran in 169, 384 and 846 us at
+    8192, 16384 and 32768 points; such a V now takes the plain step:
+
+    |     n | barrier plain    | barrier rank (|R|)   | Gaussian plain     | Gaussian rank (|R|)     |
+    |  1024 | 30 [29-34] b     | 34 [30-38] (2) p     | 30 [30-31] pb      | 44 [43-45] (6)          |
+    |  2048 | 51 [50-57] b     | 39 [38-40] (2) p     | 52 [50-53] pb      | 54 [53-58] (6)          |
+    |  4096 | 96 [95-115] b    | 64 [64-66] (2) p     | 106 [99-110] pb    | 132 [131-137] (10)      |
+    |  8192 | 202 [195-216]    | 116 [116-117] (2) pb | 202 [199-214] p    | 209 [197-219] (10) b    |
+    | 16384 | 665 [646-687]    | 240 [240-242] (2) pb | 678 [633-714] p    | 641 [617-651] (18) b    |
+    | 32768 | 1500 [1448-1517] | 683 [659-740] (2) pb | 1569 [1432-1680] p | 1036 [1020-1185] (18) b |
     """
 
     def __init__(self, p: Potential, half_length: float, n_points: int, dt: float):
@@ -156,55 +162,49 @@ class SplitStepPropagator:
             raise InvalidPacket("half_length, n_points and dt must be positive")
         self.x, self.dx, self.k = _grid(self.half_length, self.n_points)
         self.v = _sampled_potential(p, self.x, self.dx)
+        half_potential = np.exp(-0.5j * self.dt * self.v)
         n1 = _split_rows(self.n_points)
+        rows = np.flatnonzero(np.any(half_potential.reshape(n1, -1) != 1.0, axis=1))
+        first, stop = (rows[0], rows[-1] + 1) if rows.size else (0, 0)
+        if stop - first > min(2, n1 // 4):
+            n1 = 1
         n2 = self.n_points // n1
         self._shape = (n1, n2)
-        self._half_potential = np.exp(-0.5j * self.dt * self.v).reshape(n1, n2)
+        self._half_potential = half_potential.reshape(n1, n2)
         self._kinetic = np.exp(-1j * self.dt * self.k**2).reshape(n2, n1).T.copy()
         self._twiddle = self._twiddle_inv = self._rank_update = None
         if n1 > 1:
             k1, j2 = np.ogrid[:n1, :n2]
             self._twiddle = np.exp((-2j * math.pi / self.n_points) * (k1 * j2))
             self._twiddle_inv = np.conj(self._twiddle)
-            rows = np.flatnonzero(np.any(self._half_potential != 1.0, axis=1))
-            first, stop = (rows[0], rows[-1] + 1) if rows.size else (0, 0)
-            if stop - first <= n1 // 4:
-                self._rank_update = _RankUpdate(self._half_potential, first, stop)
+            self._rank_update = _RankUpdate(self._half_potential, first, stop)
 
     def step(self, psi: np.ndarray, n_steps: int = 1) -> np.ndarray:
         a = np.array(psi, dtype=complex).reshape(self._shape)
         if n_steps < 1:
             return a.reshape(-1)
-        between_steps = self._column_pair if self._rank_update is None else self._rank_update
+        if self._rank_update is None:
+            for _ in range(n_steps):
+                np.multiply(self._half_potential, a, out=a)
+                self._kinetic_step(a)
+                np.multiply(self._half_potential, a, out=a)
+            return a.reshape(-1)
         np.multiply(self._half_potential, a, out=a)
-        self._column_fft(a)
+        np.fft.fft(a, axis=0, out=a)
         for i in range(n_steps):
             if i:
-                between_steps(a)
-            if self._twiddle is not None:
-                np.multiply(a, self._twiddle, out=a)
-            np.fft.fft(a, axis=1, out=a)
-            np.multiply(self._kinetic, a, out=a)
-            np.fft.ifft(a, axis=1, out=a)
-            if self._twiddle is not None:
-                np.multiply(a, self._twiddle_inv, out=a)
-        self._column_ifft(a)
+                self._rank_update(a)
+            np.multiply(a, self._twiddle, out=a)
+            self._kinetic_step(a)
+            np.multiply(a, self._twiddle_inv, out=a)
+        np.fft.ifft(a, axis=0, out=a)
         np.multiply(self._half_potential, a, out=a)
         return a.reshape(-1)
 
-    def _column_fft(self, a: np.ndarray) -> None:
-        if self._twiddle is not None:
-            np.fft.fft(a, axis=0, out=a)
-
-    def _column_ifft(self, a: np.ndarray) -> None:
-        if self._twiddle is not None:
-            np.fft.ifft(a, axis=0, out=a)
-
-    def _column_pair(self, a: np.ndarray) -> None:
-        self._column_ifft(a)
-        np.multiply(self._half_potential, a, out=a)
-        np.multiply(self._half_potential, a, out=a)
-        self._column_fft(a)
+    def _kinetic_step(self, a: np.ndarray) -> None:
+        np.fft.fft(a, axis=1, out=a)
+        np.multiply(self._kinetic, a, out=a)
+        np.fft.ifft(a, axis=1, out=a)
 
     def norm_sq(self, psi: np.ndarray) -> float:
         return float(np.sum(np.abs(psi) ** 2) * self.dx)
@@ -214,8 +214,9 @@ class SplitStepPropagator:
 
 
 class _RankUpdate:
-    """colFFT E colIFFT on a column-transformed (n1, n2) array whose E - 1 lives
-    on rows first..stop-1, as B += C_R (D Y), Y = C_R^-1 B; see SplitStepPropagator.
+    """The rank path's step joint: colFFT E colIFFT on a column-transformed
+    (n1, n2) array whose E - 1 lives on the at most two rows first..stop-1,
+    as B += C_R (D Y), Y = C_R^-1 B; see SplitStepPropagator.
 
     It holds no reference to the propagator, so dropping a propagator frees its
     arrays at once instead of at the next cyclic garbage collection.
@@ -239,10 +240,8 @@ class _RankUpdate:
 
 
 def _split_rows(n: int) -> int:
-    """Rows of the propagator's work array: 1 below _SPLIT_MIN_POINTS, else the
-    largest divisor of n not above sqrt(n)."""
-    if n < _SPLIT_MIN_POINTS:
-        return 1
+    """Rows n1 of the rank path's work array: the largest divisor of n not
+    above sqrt(n); see SplitStepPropagator."""
     return max(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
 
 
@@ -427,7 +426,6 @@ def evolve_packet(p: Potential, spec: PacketSpec, trace_stride: int = 0) -> Pack
             f"interaction-region mass still {im:.3e} at t_max={spec.t_max}"
         )
 
-    lm, rm, _, _ = masses(psi)
     drift = abs(prop.norm_sq(psi) - norm0)
     return PacketResult(
         left_mass=lm,

@@ -91,17 +91,31 @@ def test_stepper_norm_preservation_long_run():
     assert abs(prop.norm_sq(psi) - n0) <= 1e-10
 
 
-# the barrier's cells are nonzero on 2 rows of the split work array, so steps
-# are joined by the rank-2 update; the wide bump's cells are nonzero over
-# |x| < 38, more than a quarter of the rows, so by the column FFT pair
+# the barrier's half phase differs from 1 on at most 2 rows of the split work
+# array (n1 the largest divisor of n_points not above its square root), so its
+# steps are joined by the rank update; the wide bump's differs from 1 over
+# |x| < 38, many rows, so it takes the plain one-FFT step
 NARROW = SquareBarrier(height=2.0, half_width=0.5)
 WIDE = GaussianBump(amplitude=1.0, sigma=1.0)
+# n_points -> (n1, rows of the barrier's rank update); the bump keeps n1 = 1
+LAYOUTS = {1000: (25, 1), 1024: (32, 2), 2048: (32, 2), 4096: (64, 2), 8192: (64, 2), 10000: (100, 2), 16384: (128, 2)}
+
+
+@pytest.mark.parametrize("n_points", sorted(LAYOUTS))
+def test_step_layout(n_points):
+    n1, rank = LAYOUTS[n_points]
+    narrow = SplitStepPropagator(NARROW, 60.0, n_points, 0.01)
+    assert narrow._shape == (n1, n_points // n1)
+    assert narrow._rank_update.phase_minus_one.shape[0] == rank
+    wide = SplitStepPropagator(WIDE, 60.0, n_points, 0.01)
+    assert wide._shape == (1, n_points)
+    assert wide._rank_update is None
 
 
 @pytest.mark.parametrize("n_points", [2, 1000, 2048, 8192, 8209, 10000, 16384])
 def test_step_matches_plain_strang_step(n_points):
-    # from 8192 points the propagator splits each FFT in four steps; below
-    # that it must reproduce the plain one-FFT step bit for bit
+    # the rank path splits each FFT in four steps; the plain path must
+    # reproduce the one-FFT Strang step bit for bit
     for potential in (NARROW, WIDE):
         prop = SplitStepPropagator(potential, 60.0, n_points, 0.01)
         rng = np.random.default_rng(n_points)
@@ -112,21 +126,28 @@ def test_step_matches_plain_strang_step(n_points):
         expected = psi
         for _ in range(50):
             expected = half_potential * expected
-            expected = np.fft.ifft(kinetic * np.fft.fft(expected))
+            # a named spectrum keeps numpy from reusing a temporary of 256 KiB
+            # or more as the product's output, which swaps its operands; with
+            # FMA the complex product is not bitwise commutative
+            spectrum = np.fft.fft(expected)
+            expected = np.fft.ifft(kinetic * spectrum)
             expected = half_potential * expected
         result = prop.step(psi, 50)
         assert result.shape == (n_points,)
         assert np.array_equal(psi, original)
         assert float(np.max(np.abs(result - expected))) <= 1e-12, potential
-        if n_points < 8192:
+        if prop._rank_update is None:
             assert np.array_equal(result, expected), potential
 
 
-@pytest.mark.parametrize("potential, expected", [(NARROW, 52), (WIDE, 100)], ids=["narrow", "wide"])
-def test_fft_calls_per_batch(potential, expected, monkeypatch):
-    # 2n + 2 FFTs for n steps when V spans few rows of the split work array,
-    # the four of the plain four-step split per step otherwise
-    prop = SplitStepPropagator(potential, 60.0, 16384, 0.01)
+@pytest.mark.parametrize(
+    "potential, n_points, expected",
+    [(NARROW, 16384, 52), (WIDE, 16384, 50), (NARROW, 2048, 52), (NARROW, 4096, 52)],
+    ids=["narrow", "wide", "narrow_2048", "narrow_4096"],
+)
+def test_fft_calls_per_batch(potential, n_points, expected, monkeypatch):
+    # 2n + 2 FFTs for n steps on the rank path, two per step on the plain one
+    prop = SplitStepPropagator(potential, 60.0, n_points, 0.01)
     psi = prop.initial_packet(FREE_SPEC)
     calls = []
     for name in ("fft", "ifft"):
