@@ -15,6 +15,8 @@ The config is read by potential.py's one field reader: check_object refuses
 unknown and missing fields by the fields of RunConfig (the top level),
 Output, GridSpan, SolverOptions and PacketSpec, and read_fields converts
 each number by its field's annotation, so true or "2.0" is no number.
+A packet is planned by dynamics.plan_packet when wavepacket or verify runs;
+auto_packet reads only the trace fields beside it.
 """
 from __future__ import annotations
 
@@ -22,12 +24,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .dynamics import DEFAULT_DT, IncidentBand, PacketSpec, band_reflection, default_dt, evolve_packet, incident_band
+from .dynamics import PacketSpec, band_reflection, evolve_packet, incident_band, plan_packet
 from .errors import ConfigParseError, ValidationError, WeylScatterError
 from .lattice import lattice_model_from_potential, resolvent_difference_check
 from .oracle import transfer_reflection_grid
@@ -125,7 +127,7 @@ class RunConfig:
                 raise ConfigParseError(f"{name} must be >= 0, got {value!r}")
         if not self.slab_width > 0:
             raise ConfigParseError(f"slab_width must be > 0, got {self.slab_width!r}")
-        # the numbers are read where the packet is built (auto_packet)
+        # the numbers are read where the packet is planned (dynamics.plan_packet)
         check_object("packet", self.packet, PacketSpec, extra=TRACE_FIELDS, partial=True)
 
 
@@ -245,34 +247,14 @@ def _cmd_scan(config: RunConfig):
 
 
 def auto_packet(p: Potential, overrides: dict) -> tuple[PacketSpec, int, str | None]:
-    """Fill a PacketSpec from overrides, deriving sensible defaults from the potential.
+    """The packet dynamics.plan_packet plans for p from overrides, with its trace fields.
 
     overrides, the config's packet object, may give PacketSpec's fields and the
     TRACE_FIELDS; a trace_path needs a trace_stride >= 1, and the other way round.
-
-    Without a dt, dynamics.default_dt sizes the step from V on the packet's
-    grid, once PacketSpec has read the fields it uses.  A V whose spectrum
-    exceeds 1e-3 of its peak at some momentum q >= sqrt(pi / 0.2) (k0 + 4 /
-    sigma_x), as at a jump, a kink or a narrow bump, keeps DEFAULT_DT, 0.01.
-    A smooth V takes the largest dt = 0.25 / m, m whole, with
-    dt * max(k_loc^2, max |V|) <= 0.2 and k_loc^2 = (k0 + 4 / sigma_x)^2 -
-    min(lower_bound, 0), never below 0.01: 1/24 for the Gaussian of
-    amplitude 1, sigma 1, and 1/56 for PT nu = 2.
     """
-    overrides = check_object("packet", overrides, PacketSpec, extra=TRACE_FIELDS, partial=True)
-
-    def read(name, default, annotation="float"):
-        return read_field(f"packet field {name}", annotation, overrides.get(name, default), ConfigParseError)
-
-    def positive(name, default):
-        # the defaults below divide by k0 and sigma_x
-        value = read(name, default)
-        if not value > 0:
-            raise ConfigParseError(f"packet field {name} must be positive, got {value!r}")
-        return value
-
-    trace_stride = read("trace_stride", 0, "int")
-    trace_path = overrides.get("trace_path")
+    given = check_object("packet", overrides, PacketSpec, extra=TRACE_FIELDS, partial=True)
+    trace_stride = read_field("packet field trace_stride", "int", given.pop("trace_stride", 0), ConfigParseError)
+    trace_path = given.pop("trace_path", None)
     _check_writable("packet field trace_path", trace_path)
     if trace_stride < 0:
         raise ConfigParseError(f"packet field trace_stride must be >= 0, got {trace_stride}")
@@ -280,41 +262,7 @@ def auto_packet(p: Potential, overrides: dict) -> tuple[PacketSpec, int, str | N
         raise ConfigParseError("packet field trace_path needs a trace_stride >= 1")
     if not trace_path and trace_stride >= 1:
         raise ConfigParseError("packet field trace_stride needs a trace_path to write to")
-    k0 = positive("k0", 1.5)
-    sigma = positive("sigma_x", max(6.0, 4.0 / k0))
-    support = effective_support(p, 1e-12)
-    x0 = read("x0", -(support + 4.0 * sigma + 8.0))
-    # the transmitted front must not reach the edge zone before the slow tail
-    # clears the interaction region, so leave generous clearance
-    half_length = read("half_length", abs(x0) + 100.0)
-    k_need = k0 + 4.0 / sigma + 3.0
-    n_min = 2.0 * half_length * k_need / math.pi
-    n_default = 1024
-    while n_default < n_min < math.inf:
-        n_default *= 2
-    v_slow = max(2.0 * (k0 - 4.0 / sigma), k0)
-    spec = PacketSpec(
-        x0=x0,
-        k0=k0,
-        sigma_x=sigma,
-        half_length=half_length,
-        n_points=overrides.get("n_points", n_default),
-        dt=overrides.get("dt", DEFAULT_DT),
-        t_max=overrides.get("t_max", 3.0 * (abs(x0) + half_length) / v_slow),
-    )
-    if "dt" not in overrides:
-        spec = replace(spec, dt=default_dt(p, spec))
-    return spec, trace_stride, trace_path
-
-
-def _planned_packet(config: RunConfig) -> tuple[PacketSpec, int, str | None, IncidentBand]:
-    """The configured packet, validated against the potential, and its incident band.
-
-    Runs before any m-solve, so a bad packet field fails fast.
-    """
-    spec, trace_stride, trace_path = auto_packet(config.potential, config.packet)
-    spec.validate_against(config.potential)
-    return spec, trace_stride, trace_path, incident_band(spec)
+    return plan_packet(p, given), trace_stride, trace_path
 
 
 def _solve_together(config: RunConfig, *energy_sets) -> list[tuple[MValue, MValue]]:
@@ -335,7 +283,9 @@ def _solve_together(config: RunConfig, *energy_sets) -> list[tuple[MValue, MValu
 
 
 def _cmd_wavepacket(config: RunConfig):
-    spec, trace_stride, trace_path, band = _planned_packet(config)
+    # planned before any m-solve, so a bad packet field fails fast
+    spec, trace_stride, trace_path = auto_packet(config.potential, config.packet)
+    band = incident_band(spec)
     (band_pair,) = _solve_together(config, band.lams)
     result = evolve_packet(config.potential, spec, trace_stride=trace_stride)
     columns = {
@@ -371,7 +321,8 @@ def _cmd_verify(config: RunConfig):
     zero_tails = p.tail_value("left") == 0.0 and p.tail_value("right") == 0.0
     band_lams = np.empty(0)
     if zero_tails:
-        spec, _, _, band = _planned_packet(config)
+        spec, _, _ = auto_packet(p, config.packet)
+        band = incident_band(spec)
         band_lams = band.lams
     z_cont = min(-1.0, p.lower_bound - 1.0)
     grid_pair, band_pair, cont_pair = _solve_together(config, grid, band_lams, [z_cont])

@@ -7,20 +7,21 @@ sharp-cutoff masses on the two half-lines are the dynamical reflection and
 transmission probabilities.  The spectral prediction for the same packet is
 the momentum-density average of |R(k^2)|^2 over the incident band.
 
-Evolution never calls the m-solver.  A caller that solves several energy sets
-at once takes the band from `incident_band`, solves its energies with the
-rest and averages with `band_reflection`; `predicted_reflection` composes the
-two for one packet.
+`plan_packet` alone derives a packet's defaults and checks them; the
+propagator reads the PacketSpec.  Evolution never calls the m-solver.  A
+caller that solves several energy sets at once takes the band from
+`incident_band`, solves its energies with the rest and averages with
+`band_reflection`; `predicted_reflection` composes the two for one packet.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import BoundaryLeak, InvalidPacket, NotConverged
-from .potential import Potential, effective_support, read_field, read_fields
+from .potential import Potential, check_object, effective_support, read_field, read_fields
 from .scattering import DEFAULT_SUPPORT_THRESHOLD, spectral_reflection
 from .weyl import MValue, SolverOptions, sweep
 
@@ -38,6 +39,9 @@ _CHECK_TIME = 0.25  # evolve_packet measures the masses every round(_CHECK_TIME 
 DEFAULT_DT = 0.01
 _STEP_PHASE = 0.2
 _ROUGH_LEVEL = 1e-3
+# refused before any array is built: a propagator holds about 120 bytes a
+# point, 120 MiB here, 32 times the largest grid its docstring's table measures
+MAX_PACKET_POINTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -67,8 +71,13 @@ class PacketSpec:
         if not (math.isfinite(self.t_max / self.dt) and math.isfinite(_CHECK_TIME / self.dt)):
             raise InvalidPacket(f"dt = {self.dt!r} too small: the step count overflows")
         n = self.n_points
-        if n < 2 or (n & (n - 1)) != 0:
-            raise InvalidPacket(f"n_points must be a power of two, got {n}")
+        if not (2 <= n <= MAX_PACKET_POINTS and (n & (n - 1)) == 0):
+            raise InvalidPacket(f"n_points must be a power of two from 2 to {MAX_PACKET_POINTS}, got {n}")
+
+    @property
+    def k_top(self) -> float:
+        """k0 + 4 / sigma_x: above it the momentum density is below e^-32 of its peak."""
+        return self.k0 + 4.0 / self.sigma_x
 
     def validate_against(self, p: Potential) -> None:
         """Narrow-band and placement invariants relative to the potential."""
@@ -83,8 +92,7 @@ class PacketSpec:
             raise InvalidPacket("packet tail sticks out of the box; enlarge half_length")
         if self.k0 * self.sigma_x < 4.0:
             raise InvalidPacket("narrow-band condition k0 * sigma_x >= 4 violated")
-        k_need = self.k0 + 4.0 / self.sigma_x
-        if self.n_points < 2.0 * self.half_length * k_need / math.pi:
+        if self.n_points < 2.0 * self.half_length * self.k_top / math.pi:
             raise InvalidPacket("n_points too small to resolve the packet's momenta")
 
 
@@ -102,25 +110,27 @@ class PacketResult:
 class SplitStepPropagator:
     """Strang-split spectral stepper: half potential, full kinetic, half potential.
 
-    Each step is exactly unitary up to roundoff, so the discrete norm is a
-    conserved quantity of the scheme.  V is `_sampled_potential`: a cell
-    [x_j - dx/2, x_j + dx/2] takes the node value V(x_j), unless the closed
-    cell holds a breakpoint; then it takes `mean_value`, the average
-    integrated between the breakpoints by Gauss-Legendre.  A node sample of a
-    jump quantizes its position to the grid and biases reflection at O(dx).
-    On a smooth piece the average does harm: it shifts V by dx^2 V''/24, an
-    O(dx^2) change of the operator that hides the step's own O(dt^2) error,
-    where node samples converge spectrally.  Constant and linear pieces
-    average to their node value, so a piecewise linear V is the same array
-    either way.
+    The box, grid and step are the PacketSpec's, so every grid holds a power
+    of two of at most MAX_PACKET_POINTS points.  Each step is exactly unitary
+    up to roundoff, so the discrete norm is a conserved quantity of the
+    scheme.  V is `_sampled_potential`: a cell [x_j - dx/2, x_j + dx/2] takes
+    the node value V(x_j), unless the closed cell holds a breakpoint; then it
+    takes `mean_value`, the average integrated between the breakpoints by
+    Gauss-Legendre.  A node sample of a jump quantizes its position to the
+    grid and biases reflection at O(dx).  On a smooth piece the average does
+    harm: it shifts V by dx^2 V''/24, an O(dx^2) change of the operator that
+    hides the step's own O(dt^2) error, where node samples converge
+    spectrally.  Constant and linear pieces average to their node value, so a
+    piecewise linear V is the same array either way.
 
     `step` works in place on one complex array of shape (n1, n2), n1 * n2 =
     n_points, holding psi in row-major order.  n1 is the largest divisor of
-    n_points not above its square root, and R the run of rows whose half
-    phase exp(-i dt V / 2) is not exactly 1.  If |R| > min(2, n1 // 4), n1 = 1
-    and each step is the plain one-FFT Strang step, bit for bit.  Otherwise
-    the step takes the rank path, as it does for any V within one row
-    (n_points / n1 cells) of the origin, a row boundary when n1 is even.
+    n_points not above its square root, a power of two, and R the run of rows
+    whose half phase exp(-i dt V / 2) is not exactly 1.  If |R| >
+    min(2, n1 // 4), n1 = 1 and each step is the plain one-FFT Strang step,
+    bit for bit.
+    Otherwise the step takes the rank path, as it does for any V within one
+    row (n_points / n1 cells) of the origin, a row boundary when n1 is even.
 
     On the rank path each transform is Bailey's four-step FFT: short FFTs down
     the columns, a twiddle multiply exp(-2 pi i k1 j2 / n), short FFTs along
@@ -154,16 +164,12 @@ class SplitStepPropagator:
     | 32768 | 1500 [1448-1517] | 683 [659-740] (2) pb | 1569 [1432-1680] p | 1036 [1020-1185] (18) b |
     """
 
-    def __init__(self, p: Potential, half_length: float, n_points: int, dt: float):
-        self.half_length = read_field("half_length", "float", half_length, InvalidPacket)
-        self.n_points = read_field("n_points", "int", n_points, InvalidPacket)
-        self.dt = read_field("dt", "float", dt, InvalidPacket)
-        if not (self.half_length > 0 and self.n_points > 0 and self.dt > 0):
-            raise InvalidPacket("half_length, n_points and dt must be positive")
-        self.x, self.dx, self.k = _grid(self.half_length, self.n_points)
+    def __init__(self, p: Potential, spec: PacketSpec):
+        self.n_points, self.dt = spec.n_points, spec.dt
+        self.x, self.dx, self.k = _grid(spec)
         self.v = _sampled_potential(p, self.x, self.dx)
         half_potential = np.exp(-0.5j * self.dt * self.v)
-        n1 = _split_rows(self.n_points)
+        n1 = 1 << (self.n_points.bit_length() - 1) // 2  # n_points is a power of two
         rows = np.flatnonzero(np.any(half_potential.reshape(n1, -1) != 1.0, axis=1))
         first, stop = (rows[0], rows[-1] + 1) if rows.size else (0, 0)
         if stop - first > min(2, n1 // 4):
@@ -239,12 +245,6 @@ class _RankUpdate:
         np.add(a, self.term, out=a)
 
 
-def _split_rows(n: int) -> int:
-    """Rows n1 of the rank path's work array: the largest divisor of n not
-    above sqrt(n); see SplitStepPropagator."""
-    return max(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
-
-
 def _sampled_potential(p: Potential, x: np.ndarray, dx: float) -> np.ndarray:
     """V on the grid x of spacing dx: the node value, or the cell mean on a
     closed cell [x_j - dx/2, x_j + dx/2] that holds a breakpoint of p; see
@@ -263,32 +263,76 @@ def default_dt(p: Potential, spec: PacketSpec) -> float:
 
     A smooth V takes the largest dt = _CHECK_TIME / m, m whole, with
     dt * max(k_loc^2, max |V|) <= _STEP_PHASE, where k_loc^2 = k_top^2 -
-    min(lower_bound, 0) is the packet's top local momentum squared and
-    k_top = k0 + 4 / sigma_x; its O(dt^2) splitting error stays small.  V is
+    min(lower_bound, 0) is the packet's top local momentum squared, with
+    spec.k_top; its O(dt^2) splitting error stays small.  V is
     read as the propagator samples it on spec's grid.  It is rough (a jump, a
     kink, a bump narrow on the packet's scale) when its spectrum |V_hat(q)|
     exceeds _ROUGH_LEVEL of its peak at some q >= sqrt(pi / _STEP_PHASE) k_top,
     past which that dt's phase dt q^2 can pass pi, or when the grid does not
     reach that q.  A rough V keeps DEFAULT_DT, as does any dt below it.
     """
-    x, dx, _ = _grid(spec.half_length, spec.n_points)
+    x, dx, _ = _grid(spec)
     v = _sampled_potential(p, x, dx)
     spectrum = np.abs(np.fft.rfft(v))
     q = 2.0 * math.pi / (spec.n_points * dx) * np.arange(spectrum.size)
-    k_top = spec.k0 + 4.0 / spec.sigma_x
-    high = spectrum[q >= math.sqrt(math.pi / _STEP_PHASE) * k_top]
+    high = spectrum[q >= math.sqrt(math.pi / _STEP_PHASE) * spec.k_top]
     if not high.size or np.max(high) > _ROUGH_LEVEL * np.max(spectrum):
         return DEFAULT_DT
-    rate = max(k_top**2 - min(p.lower_bound, 0.0), float(np.max(np.abs(v))))
+    rate = max(spec.k_top**2 - min(p.lower_bound, 0.0), float(np.max(np.abs(v))))
     steps = math.ceil(_CHECK_TIME * rate / _STEP_PHASE)
     return _CHECK_TIME / min(steps, round(_CHECK_TIME / DEFAULT_DT))
 
 
-def _grid(half_length: float, n_points: int) -> tuple[np.ndarray, float, np.ndarray]:
-    """Nodes x and spacing dx of the periodic box, and the FFT momenta k."""
-    dx = 2.0 * half_length / n_points
-    x = -half_length + dx * np.arange(n_points)
-    return x, dx, 2.0 * math.pi * np.fft.fftfreq(n_points, d=dx)
+def plan_packet(p: Potential, given: dict) -> PacketSpec:
+    """The packet on p that given, a JSON object of PacketSpec fields, asks for.
+
+    A field given leaves out takes its default from p and the fields above it;
+    dt takes default_dt's only after validate_against passes, so a refused
+    packet samples V on no grid.
+    """
+    given = check_object("packet", given, PacketSpec, partial=True)
+
+    def read(name, default):
+        return read_field(f"packet field {name}", "float", given.get(name, default), InvalidPacket)
+
+    def positive(name, default):
+        # the defaults below divide by k0 and sigma_x
+        value = read(name, default)
+        if not value > 0:
+            raise InvalidPacket(f"packet field {name} must be positive, got {value!r}")
+        return value
+
+    k0 = positive("k0", 1.5)
+    sigma = positive("sigma_x", max(6.0, 4.0 / k0))
+    x0 = read("x0", -(effective_support(p, 1e-12) + 4.0 * sigma + 8.0))
+    # the transmitted front must not reach the edge zone before the slow tail
+    # clears the interaction region, so leave generous clearance
+    half_length = read("half_length", abs(x0) + 100.0)
+    v_slow = max(2.0 * (k0 - 4.0 / sigma), k0)
+    spec = PacketSpec(
+        x0=x0,
+        k0=k0,
+        sigma_x=sigma,
+        half_length=half_length,
+        n_points=given.get("n_points", 1024),
+        dt=given.get("dt", DEFAULT_DT),
+        t_max=given.get("t_max", 3.0 * (abs(x0) + half_length) / v_slow),
+    )
+    if "n_points" not in given:
+        # doubling stops at MAX_PACKET_POINTS, where PacketSpec refuses
+        while spec.n_points < 2.0 * half_length * (spec.k_top + 3.0) / math.pi:
+            spec = replace(spec, n_points=2 * spec.n_points)
+    spec.validate_against(p)
+    if "dt" not in given:
+        spec = replace(spec, dt=default_dt(p, spec))
+    return spec
+
+
+def _grid(spec: PacketSpec) -> tuple[np.ndarray, float, np.ndarray]:
+    """Nodes x and spacing dx of spec's periodic box, and the FFT momenta k."""
+    dx = 2.0 * spec.half_length / spec.n_points
+    x = -spec.half_length + dx * np.arange(spec.n_points)
+    return x, dx, 2.0 * math.pi * np.fft.fftfreq(spec.n_points, d=dx)
 
 
 def _gaussian_packet(spec: PacketSpec, x: np.ndarray, dx: float) -> np.ndarray:
@@ -304,7 +348,7 @@ def momentum_density(spec: PacketSpec) -> tuple[np.ndarray, np.ndarray]:
 
     Returned sorted by k and normalized so that sum(density) * dk = 1.
     """
-    x, dx, k = _grid(spec.half_length, spec.n_points)
+    x, dx, k = _grid(spec)
     dk = 2.0 * math.pi / (spec.n_points * dx)
     phi = np.fft.fft(_gaussian_packet(spec, x, dx)) * dx / math.sqrt(2.0 * math.pi)
     density = np.abs(phi) ** 2
@@ -375,7 +419,7 @@ def evolve_packet(p: Potential, spec: PacketSpec, trace_stride: int = 0) -> Pack
     mass accumulates within 4 sigma of the box edge.
     """
     spec.validate_against(p)
-    prop = SplitStepPropagator(p, spec.half_length, spec.n_points, spec.dt)
+    prop = SplitStepPropagator(p, spec)
     psi = prop.initial_packet(spec)
     norm0 = prop.norm_sq(psi)
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateEnergy, EvanescentOverflow, InvalidSlabWidth
-from .potential import Potential, effective_support
+from .potential import Potential, effective_support, real_array
 
 _OVERFLOW_LIMIT = 1e300
 # slabs per batched product: transient memory is O(len(ks) * _SLAB_BLOCK)
@@ -140,7 +140,7 @@ def transfer_reflection_grid(
     truncation_tol: float = 1e-12,
 ) -> TransferResult:
     """Transfer-matrix amplitudes as columns over the momenta ks (all positive and finite)."""
-    ks = np.array(ks, dtype=float)  # a copy: the result keeps it as its k column
+    ks = real_array("ks", ks).copy()  # the result keeps it as its k column
     if not (slab_width > 0 and math.isfinite(slab_width)):
         raise InvalidSlabWidth(f"slab_width must be positive and finite, got {slab_width}")
     if not np.all((ks > 0) & (ks < math.inf)):  # NaN fails both comparisons
@@ -167,7 +167,7 @@ def transfer_reflection(
     truncation_tol: float = 1e-12,
 ) -> TransferResult:
     """Reflection/transmission of a unit wave incident from the left at momentum k."""
-    return transfer_reflection_grid(p, [float(k)], slab_width, truncation_tol)[0]
+    return transfer_reflection_grid(p, [float(real_array("k", k))], slab_width, truncation_tol)[0]
 
 
 def closed_form_barrier(E: float, V0: float, a: float) -> tuple[float, float]:

@@ -26,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigParseError, InvalidPotential, UnboundedTail
+from .errors import ConfigParseError, InvalidPotential, UnboundedTail, ValidationError
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -174,6 +174,16 @@ def read_field(name: str, annotation: str, value, error: type[Exception]):
     if not (np.isfinite(converted).all() if isinstance(converted, np.ndarray) else math.isfinite(converted)):
         raise error(f"{name} must be finite, got {value!r}")
     return converted
+
+
+def real_array(name: str, value) -> np.ndarray:
+    """value as a float array, each entry a number as number() reads it, finite or not; a
+    complex entry, whose imaginary part np.asarray(value, dtype=float) would drop, raises
+    ValidationError naming name."""
+    try:
+        return _floats(value)
+    except ValueError as exc:
+        raise ValidationError(f"{name}: {exc}") from None
 
 
 def read_fields(obj, error: type[Exception], where: str = "") -> None:

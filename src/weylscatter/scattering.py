@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResonantDenominator, ValidationError
-from .potential import Potential
+from .potential import Potential, real_array
 from .weyl import MValue, SolverOptions, sweep
 
 DEFAULT_SUPPORT_THRESHOLD = 1e-8
@@ -182,7 +182,7 @@ def reflectionless_scan(
     The verdict is about the sampled nodes only; nothing is claimed between
     them.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = real_array("grid", grid)
     if grid.ndim != 1 or len(grid) == 0:
         raise ValidationError("grid must be a nonempty 1D sequence")
     if not np.all(np.diff(grid) > 0):

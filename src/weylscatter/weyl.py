@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NodeAtOrigin, OdeStepFailure, SpectralSingularity, ValidationError
-from .potential import Potential, effective_support, read_fields
+from .potential import Potential, effective_support, read_fields, real_array
 
 # Extra integration length for potentials with decaying (inexact) tails, so the
 # plane-wave initialization sits below truncation_tol residue.  Potentials with
@@ -630,7 +630,7 @@ def sweep(p: Potential, grid, opts: SolverOptions | None = None) -> tuple[MValue
     first failing energy in grid order, left side before right.
     """
     opts = opts or SolverOptions()
-    grid = np.asarray(grid, dtype=float)
+    grid = real_array("grid", grid)
     if grid.ndim != 1:
         raise ValueError("grid must be a 1D sequence of energies")
     m, err = _m_values(p, grid, ("left", "right"), opts)
@@ -646,6 +646,6 @@ def boundary_m(side: str, p: Potential, lam: float, opts: SolverOptions | None =
     SpectralSingularity.
     """
     opts = opts or SolverOptions()
-    lam = float(lam)
+    lam = float(real_array("lam", lam))
     m, err = _m_values(p, [lam], (side,), opts)
     return MValue(side=side, z=complex(lam, 0.0), m=complex(m[0, 0]), err_estimate=float(err[0, 0]))

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 import math
 import sys
@@ -5,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from weylscatter import ConfigParseError
+from weylscatter import ConfigParseError, cli, dynamics
 from weylscatter.cli import MAX_GRID_COUNT, load_config, main, render_csv, render_json
 
 
@@ -455,6 +457,34 @@ def test_non_integral_field_exits_2(fields, argv, field, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and field in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["wavepacket", "verify"])
+def test_packet_above_point_cap_exits_2(command, tmp_path, capsys, monkeypatch):
+    # half_length 1e9 used to derive 2**32 points (64 GiB a complex array)
+    # and sample V on them; it must be refused before any grid is built
+    def no_grid(spec):
+        raise AssertionError(f"grid of {spec.n_points} points built")
+
+    monkeypatch.setattr(dynamics, "_grid", no_grid)
+    cfg = write_config(tmp_path, "big.json", {"potential": BARRIER, "packet": {"half_length": 1e9}})
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and f"from 2 to {dynamics.MAX_PACKET_POINTS}" in err, err
+    assert not out.exists()
+
+
+def test_cli_takes_no_packet_rule_from_dynamics():
+    # every packet default and the dt rule live in dynamics.plan_packet; the
+    # CLI reads the trace fields and hands the rest over
+    names = {
+        alias.name
+        for node in ast.walk(ast.parse(inspect.getsource(cli)))
+        if isinstance(node, ast.ImportFrom) and node.level and node.module == "dynamics"
+        for alias in node.names
+    }
+    assert names <= {"PacketSpec", "plan_packet", "incident_band", "band_reflection", "evolve_packet"}, names
 
 
 @pytest.mark.parametrize("count", [MAX_GRID_COUNT + 1, 10**9])

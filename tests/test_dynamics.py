@@ -21,6 +21,8 @@ from weylscatter import (
     predicted_reflection,
     truncated,
 )
+from weylscatter import dynamics
+from weylscatter.dynamics import MAX_PACKET_POINTS, plan_packet
 
 FREE_SPEC = PacketSpec(
     x0=-40.0, k0=2.0, sigma_x=4.0, half_length=120.0, n_points=1024, dt=0.005, t_max=80.0
@@ -28,6 +30,11 @@ FREE_SPEC = PacketSpec(
 BARRIER_SPEC = PacketSpec(
     x0=-60.0, k0=1.0, sigma_x=8.0, half_length=200.0, n_points=2048, dt=0.005, t_max=150.0
 )
+
+
+def _box_spec(half_length, n_points, dt=0.01):
+    """A PacketSpec that sets only what the propagator reads: its box, grid and step."""
+    return PacketSpec(x0=-1.0, k0=1.0, sigma_x=1.0, half_length=half_length, n_points=n_points, dt=dt, t_max=1.0)
 
 
 def test_momentum_density_gaussian_profile():
@@ -53,6 +60,10 @@ def test_packet_spec_validation():
     overlapping = PacketSpec(x0=-1.0, k0=2.0, sigma_x=4.0, half_length=120, n_points=1024, dt=0.005, t_max=10)
     with pytest.raises(ValueError):
         overlapping.validate_against(SquareBarrier(height=2.0, half_width=0.5))
+    # 2**44 points used to pass both checks; no array is built here
+    for n_points in (2 * MAX_PACKET_POINTS, 2**44):
+        with pytest.raises(InvalidPacket, match=f"from 2 to {MAX_PACKET_POINTS}"):
+            PacketSpec(x0=-40, k0=2.0, sigma_x=4.0, half_length=120, n_points=n_points, dt=0.005, t_max=10)
 
 
 def test_free_packet_transmits():
@@ -84,7 +95,7 @@ def test_poschl_teller_packet_reflectionless():
 
 
 def test_stepper_norm_preservation_long_run():
-    prop = SplitStepPropagator(Zero(), 120.0, 1024, 0.005)
+    prop = SplitStepPropagator(Zero(), _box_spec(120.0, 1024, 0.005))
     psi = prop.initial_packet(FREE_SPEC)
     n0 = prop.norm_sq(psi)
     psi = prop.step(psi, 10_000)
@@ -98,26 +109,26 @@ def test_stepper_norm_preservation_long_run():
 NARROW = SquareBarrier(height=2.0, half_width=0.5)
 WIDE = GaussianBump(amplitude=1.0, sigma=1.0)
 # n_points -> (n1, rows of the barrier's rank update); the bump keeps n1 = 1
-LAYOUTS = {1000: (25, 1), 1024: (32, 2), 2048: (32, 2), 4096: (64, 2), 8192: (64, 2), 10000: (100, 2), 16384: (128, 2)}
+LAYOUTS = {1024: (32, 2), 2048: (32, 2), 4096: (64, 2), 8192: (64, 2), 16384: (128, 2)}
 
 
 @pytest.mark.parametrize("n_points", sorted(LAYOUTS))
 def test_step_layout(n_points):
     n1, rank = LAYOUTS[n_points]
-    narrow = SplitStepPropagator(NARROW, 60.0, n_points, 0.01)
+    narrow = SplitStepPropagator(NARROW, _box_spec(60.0, n_points))
     assert narrow._shape == (n1, n_points // n1)
     assert narrow._rank_update.phase_minus_one.shape[0] == rank
-    wide = SplitStepPropagator(WIDE, 60.0, n_points, 0.01)
+    wide = SplitStepPropagator(WIDE, _box_spec(60.0, n_points))
     assert wide._shape == (1, n_points)
     assert wide._rank_update is None
 
 
-@pytest.mark.parametrize("n_points", [2, 1000, 2048, 8192, 8209, 10000, 16384])
+@pytest.mark.parametrize("n_points", [2, 2048, 8192, 16384])
 def test_step_matches_plain_strang_step(n_points):
     # the rank path splits each FFT in four steps; the plain path must
     # reproduce the one-FFT Strang step bit for bit
     for potential in (NARROW, WIDE):
-        prop = SplitStepPropagator(potential, 60.0, n_points, 0.01)
+        prop = SplitStepPropagator(potential, _box_spec(60.0, n_points))
         rng = np.random.default_rng(n_points)
         psi = rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points)
         original = psi.copy()
@@ -147,7 +158,7 @@ def test_step_matches_plain_strang_step(n_points):
 )
 def test_fft_calls_per_batch(potential, n_points, expected, monkeypatch):
     # 2n + 2 FFTs for n steps on the rank path, two per step on the plain one
-    prop = SplitStepPropagator(potential, 60.0, n_points, 0.01)
+    prop = SplitStepPropagator(potential, _box_spec(60.0, n_points))
     psi = prop.initial_packet(FREE_SPEC)
     calls = []
     for name in ("fft", "ifft"):
@@ -163,7 +174,7 @@ def test_dropped_propagator_is_freed_without_cycle_collection(n_points):
     # would keep each dropped one alive until the next cyclic collection
     gc.disable()
     try:
-        prop = SplitStepPropagator(NARROW, 300.0, n_points, 0.01)
+        prop = SplitStepPropagator(NARROW, _box_spec(300.0, n_points))
         prop.step(prop.initial_packet(FREE_SPEC), 2)
         ref = weakref.ref(prop)
         del prop
@@ -173,7 +184,7 @@ def test_dropped_propagator_is_freed_without_cycle_collection(n_points):
 
 
 def test_time_reversal_recovers_initial_packet():
-    prop = SplitStepPropagator(SquareBarrier(height=2.0, half_width=0.5), 200.0, 2048, 0.005)
+    prop = SplitStepPropagator(SquareBarrier(height=2.0, half_width=0.5), BARRIER_SPEC)
     psi0 = prop.initial_packet(BARRIER_SPEC)
     forward = prop.step(psi0.copy(), 2000)
     back = np.conj(prop.step(np.conj(forward), 2000))
@@ -186,7 +197,7 @@ def test_cutoff_choice_independence():
     # zero-tail region without moving the masses
     p = SquareBarrier(height=2.0, half_width=0.5)
     res = evolve_packet(p, BARRIER_SPEC)
-    prop = SplitStepPropagator(p, BARRIER_SPEC.half_length, BARRIER_SPEC.n_points, BARRIER_SPEC.dt)
+    prop = SplitStepPropagator(p, BARRIER_SPEC)
     psi = prop.initial_packet(BARRIER_SPEC)
     psi = prop.step(psi, int(round(res.t_stop / BARRIER_SPEC.dt)))
     dens = np.abs(psi) ** 2
@@ -238,21 +249,24 @@ def test_packet_spec_reads_fields_by_annotation():
 
 
 def test_propagator_reads_fields_by_annotation():
-    prop = SplitStepPropagator(Zero(), 60, 1024.0, 0.01)
+    # the propagator reads its grid and step from a PacketSpec alone, whose
+    # fields were read by annotation; a grid no PacketSpec holds cannot reach it
+    prop = SplitStepPropagator(Zero(), _box_spec(60, 1024.0))
     assert prop.n_points == 1024 and isinstance(prop.n_points, int)
-    assert isinstance(prop.half_length, float) and isinstance(prop.dt, float)
+    assert isinstance(prop.dx, float) and isinstance(prop.dt, float)
     cases = [
         ((60.0, 1024.7, 0.01), "n_points"),
         ((True, 1024, 0.01), "half_length"),
         ((60.0, 1024, math.nan), "dt"),
         ((60.0, 1024, "0.01"), "dt"),
         ((0.0, 1024, 0.01), "positive"),
-        ((60.0, 0, 0.01), "positive"),
+        ((60.0, 0, 0.01), "power of two"),
+        ((60.0, 1000, 0.01), "power of two"),
         ((60.0, 1024, -0.01), "positive"),
     ]
     for args, name in cases:
         with pytest.raises(InvalidPacket, match=name):
-            SplitStepPropagator(Zero(), *args)
+            _box_spec(*args)
 
 
 # the default packets of the benchmark's smooth potentials; each gap is
@@ -262,9 +276,7 @@ PT2_TRUNCATED = truncated(PoschlTeller(nu=2), 1e-12)
 
 
 def _default_packet(p, **packet):
-    from weylscatter.cli import auto_packet
-
-    return auto_packet(p, packet)[0]
+    return plan_packet(p, packet)
 
 
 def _gap(p, spec):
@@ -296,7 +308,7 @@ def test_cells_holding_a_breakpoint_take_the_cell_mean():
         def mean_value(self, a, b):
             return np.full(np.shape(a), -1.0)
 
-    prop = SplitStepPropagator(Marked(amplitude=1.0, sigma=3.0), 8.0, 64, 0.01)
+    prop = SplitStepPropagator(Marked(amplitude=1.0, sigma=3.0), _box_spec(8.0, 64))
     assert np.flatnonzero(prop.v == -1.0).tolist() == [3, 40, 41]
     others = prop.v != -1.0
     assert np.array_equal(prop.v[others], GaussianBump(amplitude=1.0, sigma=3.0).value(prop.x[others]))
@@ -324,6 +336,60 @@ ROUGH = {
 }
 
 
+# the packets the CLI planned before the planning moved into dynamics, field by field
+PLANNED = {
+    "barrier": (ROUGH["barrier"], {}, dict(x0=-32.5, half_length=132.5, n_points=1024, dt=0.01, t_max=297.0)),
+    "gaussian": (
+        GAUSSIAN,
+        {},
+        dict(x0=-39.43384437769968, half_length=139.43384437769967, n_points=1024, dt=1 / 24, t_max=321.9618397597188),
+    ),
+    "pt2": (
+        PT2_TRUNCATED,
+        {},
+        dict(x0=-47.404537473138205, half_length=147.4045374731382, n_points=1024, dt=1 / 56, t_max=350.6563349032975),
+    ),
+    "sampled": (ROUGH["sampled"], {}, dict(x0=-34.0, half_length=134.0, n_points=1024, dt=0.01, t_max=302.4)),
+    "barrier_resolved": (
+        ROUGH["barrier"],
+        {"half_length": 300, "n_points": 16384},
+        dict(x0=-32.5, half_length=300.0, n_points=16384, dt=0.01, t_max=598.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANNED))
+def test_planned_packet_fields(name):
+    p, given, expected = PLANNED[name]
+    assert plan_packet(p, given) == PacketSpec(k0=1.5, sigma_x=6.0, **expected)
+
+
+@pytest.mark.parametrize(
+    "given, message",
+    [
+        ({"half_length": 1e9}, f"from 2 to {MAX_PACKET_POINTS}"),
+        ({"n_points": 2 * MAX_PACKET_POINTS}, f"from 2 to {MAX_PACKET_POINTS}"),
+        ({"x0": 0.0}, "zero-tail region"),
+        ({"n_points": 128}, "too small"),
+    ],
+    ids=["half_length", "n_points", "x0", "coarse"],
+)
+def test_refused_packet_builds_no_grid(given, message, monkeypatch):
+    # half_length 1e9 used to derive 2**32 points and sample V on them in
+    # default_dt; a packet validate_against refuses samples no V either
+    def no_grid(spec):
+        raise AssertionError(f"grid of {spec.n_points} points built")
+
+    monkeypatch.setattr(dynamics, "_grid", no_grid)
+    with pytest.raises(InvalidPacket, match=message):
+        plan_packet(ROUGH["barrier"], given)
+
+
+def test_plan_packet_refuses_unknown_fields():
+    with pytest.raises(ValueError, match="unknown packet fields: trace_stride"):
+        plan_packet(ROUGH["barrier"], {"trace_stride": 1})
+
+
 # the default packet grid and the 8192-point one of the drift pins
 GRIDS = {"default": {}, "8192": {"half_length": 300.0, "n_points": 8192}}
 
@@ -335,7 +401,7 @@ def test_piecewise_linear_v_is_every_cell_mean(name, grid):
     # the pinned barrier and sampled packets keeps its bits
     p, packet = ROUGH[name], GRIDS[grid]
     spec = _default_packet(p, **packet)
-    prop = SplitStepPropagator(p, spec.half_length, spec.n_points, spec.dt)
+    prop = SplitStepPropagator(p, spec)
     assert spec.n_points == packet.get("n_points", 1024)
     assert np.array_equal(prop.v, p.mean_value(prop.x - 0.5 * prop.dx, prop.x + 0.5 * prop.dx))
 

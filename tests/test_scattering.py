@@ -11,12 +11,15 @@ from weylscatter import (
     SquareBarrier,
     Step,
     Zero,
+    ValidationError,
+    boundary_m,
     boundary_pair,
     green00,
     interior_m,
     reflectionless_scan,
     scattering_matrix,
     spectral_reflection,
+    transfer_reflection,
     transfer_reflection_grid,
     sweep,
     truncated,
@@ -336,3 +339,25 @@ def test_resonant_denominator_names_first_resonant_entry():
     for call in (scattering_matrix, spectral_reflection):
         with pytest.raises(ResonantDenominator, match="at entry 1:"):
             call(m_l, m_r)
+
+
+PT1 = PoschlTeller(nu=1)
+BARRIER = SquareBarrier(height=2.0, half_width=0.5)
+# each real-axis entry point, with the name of its input, called with a
+# complex energy or momentum; a numpy complex used to lose its imaginary part
+# with only a ComplexWarning, a Python complex to raise a bare TypeError
+REAL_AXIS_ENTRIES = {
+    "sweep": ("grid", lambda z: sweep(PT1, np.array([z]))),
+    "boundary_m": ("lam", lambda z: boundary_m("left", PT1, z)),
+    "reflectionless_scan": ("grid", lambda z: reflectionless_scan(PT1, np.array([z, z + 1]))),
+    "transfer_reflection_grid": ("ks", lambda z: transfer_reflection_grid(BARRIER, [z], 0.01)),
+    "transfer_reflection": ("k", lambda z: transfer_reflection(BARRIER, z, 0.01)),
+}
+
+
+@pytest.mark.parametrize("z", [np.complex128(2 + 1j), 2 + 1j], ids=["numpy", "python"])
+@pytest.mark.parametrize("entry", sorted(REAL_AXIS_ENTRIES))
+def test_real_axis_entry_refuses_complex_input(entry, z):
+    name, call = REAL_AXIS_ENTRIES[entry]
+    with pytest.raises(ValidationError, match=rf"^{name}: .*\(2\+1j\)\)? is not a number"):
+        call(z)
