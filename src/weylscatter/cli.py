@@ -14,9 +14,10 @@ seed produce byte-identical artifacts.
 The config is read by potential.py's one field reader: check_object refuses
 unknown and missing fields by the fields of RunConfig (the top level),
 Output, GridSpan, SolverOptions and PacketSpec, and read_fields converts
-each number by its field's annotation, so true or "2.0" is no number.
-A packet is planned by dynamics.plan_packet when wavepacket or verify runs;
-auto_packet reads only the trace fields beside it.
+each number by its field's annotation and declared bound, so true or "2.0"
+is no number.  A packet is planned by dynamics.plan_packet when wavepacket or
+verify runs; auto_packet reads only the trace fields beside it.  A command
+that plans no packet reads the packet's numbers all the same.
 """
 from __future__ import annotations
 
@@ -29,11 +30,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import PacketSpec, band_reflection, evolve_packet, incident_band, plan_packet
-from .errors import ConfigParseError, ValidationError, WeylScatterError
+from .dynamics import PacketSpec, band_reflection, evolve_packet, incident_band, plan_packet, read_packet
+from .errors import ConfigParseError, InvalidPacket, ValidationError, WeylScatterError
 from .lattice import lattice_model_from_potential, resolvent_difference_check
 from .oracle import transfer_reflection_grid
-from .potential import Potential, check_object, effective_support, potential_from_config, read_field, read_fields
+from .potential import NON_NEGATIVE, POSITIVE, Potential, check_object, effective_support, potential_from_config
+from .potential import read_field, read_fields
 from .scattering import (
     DEFAULT_SUPPORT_THRESHOLD,
     green00,
@@ -90,12 +92,12 @@ class GridSpan:
 
     min: float
     max: float
-    count: int
+    count: int = field(metadata=POSITIVE)
 
     def __post_init__(self):
         read_fields(self, ConfigParseError, "lambda_grid ")
-        if not (self.min < self.max and 1 <= self.count <= MAX_GRID_COUNT):
-            raise ConfigParseError(f"lambda_grid needs min < max and a count from 1 to at most {MAX_GRID_COUNT}")
+        if not (self.min < self.max and self.count <= MAX_GRID_COUNT):
+            raise ConfigParseError(f"lambda_grid needs min < max and a count of at most {MAX_GRID_COUNT}")
 
 
 @dataclass
@@ -109,25 +111,19 @@ class RunConfig:
     command: str
     lambda_grid: np.ndarray = field(default_factory=lambda: np.linspace(0.5, 8.0, 16))
     solver: SolverOptions = field(default_factory=SolverOptions)
-    s_threshold: float = DEFAULT_SUPPORT_THRESHOLD
-    zero_tol: float = 1e-6
-    slab_width: float = 0.005
+    # a negative threshold admits every energy
+    s_threshold: float = field(default=DEFAULT_SUPPORT_THRESHOLD, metadata=NON_NEGATIVE)
+    zero_tol: float = field(default=1e-6, metadata=NON_NEGATIVE)
+    slab_width: float = field(default=0.005, metadata=POSITIVE)
     packet: dict = field(default_factory=dict)
     output: Output = field(default_factory=Output)
-    seed: int = 0
+    seed: int = field(default=0, metadata=NON_NEGATIVE)
 
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ConfigParseError(f"command must be one of {', '.join(COMMANDS)}; got {self.command!r}")
         read_fields(self, ConfigParseError)
-        # a negative threshold admits every energy
-        for name in ("s_threshold", "zero_tol", "seed"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ConfigParseError(f"{name} must be >= 0, got {value!r}")
-        if not self.slab_width > 0:
-            raise ConfigParseError(f"slab_width must be > 0, got {self.slab_width!r}")
-        # the numbers are read where the packet is planned (dynamics.plan_packet)
+        # the numbers are read when the command starts (run, or where auto_packet plans the packet)
         check_object("packet", self.packet, PacketSpec, extra=TRACE_FIELDS, partial=True)
 
 
@@ -246,18 +242,22 @@ def _cmd_scan(config: RunConfig):
     return {name: [getattr(w, name) for w in windows] for name in ("lam_min", "lam_max", "max_reflect_prob")}
 
 
+def _read_packet(overrides: dict) -> tuple[dict, int, str | None]:
+    """The config's packet object as its PacketSpec fields, read by read_packet, and its trace fields."""
+    given = check_object("packet", overrides, PacketSpec, extra=TRACE_FIELDS, partial=True)
+    trace_stride = read_field("packet field trace_stride", "int", given.pop("trace_stride", 0), InvalidPacket, ">= 0")
+    trace_path = given.pop("trace_path", None)
+    return read_packet(given), trace_stride, trace_path
+
+
 def auto_packet(p: Potential, overrides: dict) -> tuple[PacketSpec, int, str | None]:
     """The packet dynamics.plan_packet plans for p from overrides, with its trace fields.
 
     overrides, the config's packet object, may give PacketSpec's fields and the
     TRACE_FIELDS; a trace_path needs a trace_stride >= 1, and the other way round.
     """
-    given = check_object("packet", overrides, PacketSpec, extra=TRACE_FIELDS, partial=True)
-    trace_stride = read_field("packet field trace_stride", "int", given.pop("trace_stride", 0), ConfigParseError)
-    trace_path = given.pop("trace_path", None)
+    given, trace_stride, trace_path = _read_packet(overrides)
     _check_writable("packet field trace_path", trace_path)
-    if trace_stride < 0:
-        raise ConfigParseError(f"packet field trace_stride must be >= 0, got {trace_stride}")
     if trace_path is not None and trace_stride < 1:
         raise ConfigParseError("packet field trace_path needs a trace_stride >= 1")
     if not trace_path and trace_stride >= 1:
@@ -318,12 +318,13 @@ def _cmd_verify(config: RunConfig):
             raise ConfigParseError(f"packet field {name} is for wavepacket; verify writes no packet trace")
     p = config.potential
     grid = config.lambda_grid
-    zero_tails = p.tail_value("left") == 0.0 and p.tail_value("right") == 0.0
     band_lams = np.empty(0)
-    if zero_tails:
+    if p.zero_tails:
         spec, _, _ = auto_packet(p, config.packet)
         band = incident_band(spec)
         band_lams = band.lams
+    else:
+        _read_packet(config.packet)  # no packet runs, but its numbers are read
     z_cont = min(-1.0, p.lower_bound - 1.0)
     grid_pair, band_pair, cont_pair = _solve_together(config, grid, band_lams, [z_cont])
 
@@ -337,13 +338,13 @@ def _cmd_verify(config: RunConfig):
         _verify_row("s_matrix_diagonal", "max ||s_ll| - |s_rr|| over grid", diag_res, 1e-10),
     ]
 
-    if zero_tails and np.all(grid > 0):
+    if p.zero_tails and np.all(grid > 0):
         ks = np.sqrt(grid)
         oracle = transfer_reflection_grid(p, ks, config.slab_width, config.solver.truncation_tol)
         gap = np.max(np.abs(rec.reflect_prob - oracle.reflect_prob))
         rows.append(_verify_row("spectral_vs_oracle", "max |R^2 - |r|^2| over grid", gap, 1e-6))
 
-    if zero_tails:
+    if p.zero_tails:
         packet = evolve_packet(p, spec)
         predicted = band_reflection(band, band_pair, config.s_threshold)
         rows.append(
@@ -405,6 +406,8 @@ COMMANDS = tuple(_COMMANDS)
 def run(config: RunConfig) -> int:
     """Execute one configured command; returns the process exit status."""
     try:
+        if config.command not in ("wavepacket", "verify"):
+            _read_packet(config.packet)  # no packet runs, but its numbers are read
         columns = _COMMANDS[config.command](config)
         if config.output.format == "json":
             payload = render_json(columns)

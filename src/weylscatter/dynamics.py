@@ -7,7 +7,8 @@ sharp-cutoff masses on the two half-lines are the dynamical reflection and
 transmission probabilities.  The spectral prediction for the same packet is
 the momentum-density average of |R(k^2)|^2 over the incident band.
 
-`plan_packet` alone derives a packet's defaults and checks them; the
+`plan_packet` alone derives a packet's defaults and checks them, after
+`read_packet` reads each given number by its PacketSpec field; the
 propagator reads the PacketSpec.  Evolution never calls the m-solver.  A
 caller that solves several energy sets at once takes the band from
 `incident_band`, solves its energies with the rest and averages with
@@ -16,12 +17,12 @@ caller that solves several energy sets at once takes the band from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import BoundaryLeak, InvalidPacket, NotConverged
-from .potential import Potential, check_object, effective_support, read_field, read_fields
+from .potential import POSITIVE, Potential, check_object, effective_support, read_fields, read_given
 from .scattering import DEFAULT_SUPPORT_THRESHOLD, spectral_reflection
 from .weyl import MValue, SolverOptions, sweep
 
@@ -54,19 +55,15 @@ class PacketSpec:
     """
 
     x0: float
-    k0: float
-    sigma_x: float
-    half_length: float
+    k0: float = field(metadata=POSITIVE)
+    sigma_x: float = field(metadata=POSITIVE)
+    half_length: float = field(metadata=POSITIVE)
     n_points: int
-    dt: float
-    t_max: float
+    dt: float = field(metadata=POSITIVE)
+    t_max: float = field(metadata=POSITIVE)
 
     def __post_init__(self):
         read_fields(self, InvalidPacket)
-        if not (self.k0 > 0 and self.sigma_x > 0 and self.half_length > 0):
-            raise InvalidPacket("k0, sigma_x, half_length must be positive")
-        if not (self.dt > 0 and self.t_max > 0):
-            raise InvalidPacket("dt and t_max must be positive")
         # evolve_packet counts steps as t_max / dt and checks every _CHECK_TIME / dt
         if not (math.isfinite(self.t_max / self.dt) and math.isfinite(_CHECK_TIME / self.dt)):
             raise InvalidPacket(f"dt = {self.dt!r} too small: the step count overflows")
@@ -81,7 +78,7 @@ class PacketSpec:
 
     def validate_against(self, p: Potential) -> None:
         """Narrow-band and placement invariants relative to the potential."""
-        if p.tail_value("left") != 0.0 or p.tail_value("right") != 0.0:
+        if not p.zero_tails:
             # nonzero tails would wrap into a spurious interface at the
             # periodic boundary of the spectral grid
             raise InvalidPacket("wave-packet evolution requires zero potential tails")
@@ -283,6 +280,12 @@ def default_dt(p: Potential, spec: PacketSpec) -> float:
     return _CHECK_TIME / min(steps, round(_CHECK_TIME / DEFAULT_DT))
 
 
+def read_packet(given: dict) -> dict:
+    """given, a JSON object of PacketSpec fields, each read by its annotation and declared bound."""
+    given = check_object("packet", given, PacketSpec, partial=True)
+    return read_given(PacketSpec, given, InvalidPacket, "packet field ")
+
+
 def plan_packet(p: Potential, given: dict) -> PacketSpec:
     """The packet on p that given, a JSON object of PacketSpec fields, asks for.
 
@@ -290,24 +293,14 @@ def plan_packet(p: Potential, given: dict) -> PacketSpec:
     dt takes default_dt's only after validate_against passes, so a refused
     packet samples V on no grid.
     """
-    given = check_object("packet", given, PacketSpec, partial=True)
-
-    def read(name, default):
-        return read_field(f"packet field {name}", "float", given.get(name, default), InvalidPacket)
-
-    def positive(name, default):
-        # the defaults below divide by k0 and sigma_x
-        value = read(name, default)
-        if not value > 0:
-            raise InvalidPacket(f"packet field {name} must be positive, got {value!r}")
-        return value
-
-    k0 = positive("k0", 1.5)
-    sigma = positive("sigma_x", max(6.0, 4.0 / k0))
-    x0 = read("x0", -(effective_support(p, 1e-12) + 4.0 * sigma + 8.0))
+    # read first: the defaults below divide by k0 and sigma_x
+    given = read_packet(given)
+    k0 = given.get("k0", 1.5)
+    sigma = given.get("sigma_x", max(6.0, 4.0 / k0))
+    x0 = given.get("x0", -(effective_support(p, 1e-12) + 4.0 * sigma + 8.0))
     # the transmitted front must not reach the edge zone before the slow tail
     # clears the interaction region, so leave generous clearance
-    half_length = read("half_length", abs(x0) + 100.0)
+    half_length = given.get("half_length", abs(x0) + 100.0)
     v_slow = max(2.0 * (k0 - 4.0 / sigma), k0)
     spec = PacketSpec(
         x0=x0,

@@ -73,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularResolvent
+from .errors import SingularResolvent, ValidationError
 from .potential import Potential, effective_support, read_field
 
 _COND_LIMIT = 1e12
@@ -96,19 +96,15 @@ class LatticeModel:
     z: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "n", read_field("n", "int", self.n, ValueError))
-        object.__setattr__(self, "h", read_field("h", "float", self.h, ValueError))
+        object.__setattr__(self, "n", read_field("n", "int", self.n, ValidationError, "positive"))
+        object.__setattr__(self, "h", read_field("h", "float", self.h, ValidationError, "positive"))
         # v may hold a non-finite sample: the elimination refuses its pivot
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
-        if not self.h > 0:
-            raise ValueError("mesh h must be positive")
         if len(self.v) != 2 * self.n + 1:
-            raise ValueError(f"expected {2 * self.n + 1} potential samples, got {len(self.v)}")
+            raise ValidationError(f"expected {2 * self.n + 1} potential samples, got {len(self.v)}")
         z = complex(self.z)
         if not (z.imag > 0 or (z.imag == 0 and z.real < self.v.min())):
-            raise ValueError("z must have Im z > 0 or be a real point below min(v)")
+            raise ValidationError("z must have Im z > 0 or be a real point below min(v)")
         object.__setattr__(self, "z", z)
 
 
@@ -129,7 +125,7 @@ def lattice_model_from_potential(p: Potential, n: int, h: float, z: complex) -> 
     """Sample a potential on the lattice, enforcing that the box covers its support plus 1."""
     support = effective_support(p, 1e-6)
     if n * h < support + 1.0:
-        raise ValueError(f"box half-length {n * h} does not cover support {support} plus 1")
+        raise ValidationError(f"box half-length {n * h} does not cover support {support} plus 1")
     grid = h * np.arange(-n, n + 1)
     return LatticeModel(n=n, h=h, v=np.asarray(p.value(grid), dtype=float), z=z)
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEnergy, EvanescentOverflow, InvalidSlabWidth
+from .errors import DegenerateEnergy, EvanescentOverflow, InvalidSlabWidth, ValidationError
 from .potential import Potential, effective_support, real_array
 
 _OVERFLOW_LIMIT = 1e300
@@ -144,9 +144,9 @@ def transfer_reflection_grid(
     if not (slab_width > 0 and math.isfinite(slab_width)):
         raise InvalidSlabWidth(f"slab_width must be positive and finite, got {slab_width}")
     if not np.all((ks > 0) & (ks < math.inf)):  # NaN fails both comparisons
-        raise ValueError(f"momenta must be positive and finite, got {ks!r}")
-    if p.tail_value("left") != 0.0 or p.tail_value("right") != 0.0:
-        raise ValueError("transfer oracle requires equal zero tails")
+        raise ValidationError(f"momenta must be positive and finite, got {ks!r}")
+    if not p.zero_tails:
+        raise ValidationError("transfer oracle requires equal zero tails")
     edges = _slab_edges(p, slab_width, truncation_tol)
     if len(edges) == 1:
         return TransferResult(ks, np.zeros_like(ks, dtype=complex), np.ones_like(ks, dtype=complex), 0)
@@ -177,7 +177,7 @@ def closed_form_barrier(E: float, V0: float, a: float) -> tuple[float, float]:
     E = V0 is rejected rather than special-cased.
     """
     if E <= 0 or V0 <= 0 or a <= 0:
-        raise ValueError("E, V0, a must all be positive")
+        raise ValidationError("E, V0, a must all be positive")
     if abs(E - V0) <= 1e-12 * max(E, V0):
         raise DegenerateEnergy("E = V0 is outside the closed form's domain")
     if E < V0:

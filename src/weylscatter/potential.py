@@ -13,14 +13,15 @@ potential_from_config hands a JSON description's fields to the class by name.
 This module holds the one reader of outside input, for potentials, the CLI's
 run configuration and its parts, SolverOptions, PacketSpec and LatticeModel:
 read_fields converts each field by its annotation (a bool or a string is no
-number) and refuses a non-finite one by name, and check_object refuses a JSON
-object's unknown and missing fields by the dataclass's own fields.
+number), refuses a non-finite one by name and enforces the bound the field
+declares in its metadata (POSITIVE or NON_NEGATIVE), and check_object refuses
+a JSON object's unknown and missing fields by the dataclass's own fields.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Union
 
@@ -38,9 +39,9 @@ class Potential:
     """Base class; concrete variants implement the value/metadata hooks.
 
     Construction validates: read_fields converts every field annotated float,
-    int or np.ndarray to that type and requires it finite, then a variant's own
-    __post_init__ checks its invariants.  The first violation raises
-    InvalidPotential naming the field.
+    int or np.ndarray to that type and holds it finite and within its declared
+    bound, then a variant's own __post_init__ checks the invariants that span
+    fields.  The first violation raises InvalidPotential naming the field.
     """
 
     # True when V equals its tails exactly outside tolerance_radius(tol), for every tol
@@ -80,6 +81,11 @@ class Potential:
     def breakpoints(self) -> tuple[float, ...]:
         """Locations where V jumps or has a kink (empty when smooth)."""
         return ()
+
+    @property
+    def zero_tails(self) -> bool:
+        """True when V tends to 0 on both sides."""
+        return self.tail_value("left") == 0.0 and self.tail_value("right") == 0.0
 
     def mean_value(self, a: ArrayLike, b: ArrayLike) -> ArrayLike:
         """Average of V over [a, b], elementwise; value(a) where b <= a.
@@ -163,9 +169,14 @@ _FIELD_TYPES = {
     "np.ndarray": _floats,
 }
 
+# field metadata declaring a bound, as in half_width: float = field(metadata=POSITIVE)
+POSITIVE = {"bound": "positive"}
+NON_NEGATIVE = {"bound": ">= 0"}
 
-def read_field(name: str, annotation: str, value, error: type[Exception]):
-    """value converted by annotation ("float", "int", "np.ndarray"); error names a bad or non-finite one."""
+
+def read_field(name: str, annotation: str, value, error: type[Exception], bound: str | None = None):
+    """value converted by annotation ("float", "int", "np.ndarray"), finite and within bound:
+    "positive" (>= 1 for an int), ">= 0" or None; error names a bad one."""
     try:
         converted = _FIELD_TYPES[annotation](value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -173,6 +184,8 @@ def read_field(name: str, annotation: str, value, error: type[Exception]):
     # math.isfinite on scalars: a grid list reads one field per energy
     if not (np.isfinite(converted).all() if isinstance(converted, np.ndarray) else math.isfinite(converted)):
         raise error(f"{name} must be finite, got {value!r}")
+    if bound and not (converted > 0 if bound == "positive" else converted >= 0):
+        raise error(f"{name} must be {bound}, got {converted!r}")
     return converted
 
 
@@ -186,12 +199,20 @@ def real_array(name: str, value) -> np.ndarray:
         raise ValidationError(f"{name}: {exc}") from None
 
 
+def read_given(cls, given: dict, error: type[Exception], where: str = "") -> dict:
+    """The float, int and np.ndarray fields of the dataclass cls that given names, in field
+    order, each read by read_field with its annotation and declared bound; where prefixes names."""
+    return {
+        f.name: read_field(where + f.name, f.type, given[f.name], error, f.metadata.get("bound"))
+        for f in fields(cls)
+        if f.type in _FIELD_TYPES and f.name in given
+    }
+
+
 def read_fields(obj, error: type[Exception], where: str = "") -> None:
-    """read_field, in place, each float, int and np.ndarray field of obj; where prefixes names."""
-    for f in fields(obj):
-        if f.type in _FIELD_TYPES:
-            value = read_field(where + f.name, f.type, getattr(obj, f.name), error)
-            object.__setattr__(obj, f.name, value)
+    """read_given, in place, over the fields of the dataclass instance obj."""
+    for name, value in read_given(type(obj), vars(obj), error, where).items():
+        object.__setattr__(obj, name, value)
 
 
 def check_object(where: str, given, cls, extra: tuple[str, ...] = (), partial: bool = False) -> dict:
@@ -252,7 +273,7 @@ _MEAN_BLOCK = 1024
 
 def _check_side(side: str) -> None:
     if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,13 +298,8 @@ class SquareBarrier(Potential):
     """V = height on [center - half_width, center + half_width], else 0."""
 
     height: float
-    half_width: float
+    half_width: float = field(metadata=POSITIVE)
     center: float = 0.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.half_width > 0:
-            raise InvalidPotential(f"half_width must be positive, got {self.half_width!r}")
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -312,14 +328,9 @@ class SquareBarrier(Potential):
 class PoschlTeller(Potential):
     """V(x) = -nu(nu+1) sech^2(x), the classic reflectionless family."""
 
-    nu: int
+    nu: int = field(metadata=POSITIVE)
     exact_support = False
     mirror_symmetric = True
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.nu < 1:
-            raise InvalidPotential(f"nu must be a positive integer, got {self.nu!r}")
 
     @property
     def depth(self) -> float:
@@ -346,13 +357,8 @@ class GaussianBump(Potential):
     """V(x) = amplitude * exp(-(x - center)^2 / (2 sigma^2))."""
 
     amplitude: float
-    sigma: float
+    sigma: float = field(metadata=POSITIVE)
     center: float = 0.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.sigma > 0:
-            raise InvalidPotential(f"sigma must be positive, got {self.sigma!r}")
 
     @property
     def exact_support(self):
@@ -453,13 +459,11 @@ class Truncated(Potential):
     """
 
     inner: Potential
-    radius: float
+    radius: float = field(metadata=POSITIVE)
 
     def __post_init__(self):
         super().__post_init__()
-        if not self.radius > 0:
-            raise InvalidPotential(f"radius must be positive, got {self.radius!r}")
-        if self.inner.tail_value("left") != 0.0 or self.inner.tail_value("right") != 0.0:
+        if not self.inner.zero_tails:
             raise InvalidPotential("inner: truncation requires zero tails")
 
     def value(self, x):
@@ -491,7 +495,7 @@ def effective_support(p: Potential, tol: float) -> float:
     returns an infinite radius.
     """
     if not tol > 0:
-        raise ValueError("tol must be positive")
+        raise ValidationError("tol must be positive")
     radius = p.tolerance_radius(tol)
     if not math.isfinite(radius):
         raise UnboundedTail(f"no finite truncation radius at tol={tol}")

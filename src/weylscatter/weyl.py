@@ -40,12 +40,12 @@ returns the (left, right) pair of MValue columns.  `boundary_m` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NodeAtOrigin, OdeStepFailure, SpectralSingularity, ValidationError
-from .potential import Potential, effective_support, read_fields, real_array
+from .potential import POSITIVE, Potential, effective_support, read_fields, real_array
 
 # Extra integration length for potentials with decaying (inexact) tails, so the
 # plane-wave initialization sits below truncation_tol residue.  Potentials with
@@ -70,16 +70,12 @@ class SolverOptions:
     it to weyl._TOL_SCALE (1e-3) times them, a scale set by measurement.
     """
 
-    truncation_tol: float = 1e-12
-    rel_ode_tol: float = 1e-10
-    abs_ode_tol: float = 1e-12
+    truncation_tol: float = field(default=1e-12, metadata=POSITIVE)
+    rel_ode_tol: float = field(default=1e-10, metadata=POSITIVE)
+    abs_ode_tol: float = field(default=1e-12, metadata=POSITIVE)
 
     def __post_init__(self):
         read_fields(self, ValidationError)
-        for name in ("truncation_tol", "rel_ode_tol", "abs_ode_tol"):
-            value = getattr(self, name)
-            if not value > 0.0:
-                raise ValidationError(f"{name} must be positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -576,7 +572,7 @@ def _m_values(p: Potential, z, sides, opts: SolverOptions):
     if not np.isfinite(z).all():
         # a NaN step size never trips the underflow check, so the kernel
         # would spin until its step budget runs out
-        raise ValueError(f"energies must be finite, got {complex(z[~np.isfinite(z)][0])}")
+        raise ValidationError(f"energies must be finite, got {complex(z[~np.isfinite(z)][0])}")
     for side in sides:
         p.tail_value(side)  # rejects an unknown side
     solved = sides[:1] if p.mirror_symmetric else sides
@@ -615,7 +611,7 @@ def interior_m(side: str, p: Potential, z: complex, opts: SolverOptions | None =
     opts = opts or SolverOptions()
     z = complex(z)
     if not z.imag > 0:
-        raise ValueError("interior_m requires Im z > 0; use boundary_m on the real axis")
+        raise ValidationError("interior_m requires Im z > 0; use boundary_m on the real axis")
     m, err = _m_values(p, [z], (side,), opts)
     return MValue(side=side, z=z, m=complex(m[0, 0]), err_estimate=float(err[0, 0]))
 
@@ -632,7 +628,7 @@ def sweep(p: Potential, grid, opts: SolverOptions | None = None) -> tuple[MValue
     opts = opts or SolverOptions()
     grid = real_array("grid", grid)
     if grid.ndim != 1:
-        raise ValueError("grid must be a 1D sequence of energies")
+        raise ValidationError("grid must be a 1D sequence of energies")
     m, err = _m_values(p, grid, ("left", "right"), opts)
     z = grid + 0j
     return MValue("left", z, m[0], err[0]), MValue("right", z, m[1], err[1])

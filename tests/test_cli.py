@@ -353,6 +353,39 @@ def test_bad_packet_field_exits_2(packet, field, tmp_path, capsys):
     assert not out.exists()
 
 
+STEP = {"kind": "step", "left_value": 0.0, "right_value": 1.0}
+
+
+@pytest.mark.parametrize(
+    "packet, field",
+    [
+        ({"k0": -1}, "k0"),
+        ({"dt": "x"}, "dt"),
+        ({"sigma_x": 0}, "sigma_x"),
+        ({"n_points": 4096.7}, "n_points"),
+        ({"trace_stride": -1}, "trace_stride"),
+    ],
+    ids=lambda v: ",".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict) else v,
+)
+@pytest.mark.parametrize("command", ["scan", "reflect", "verify"])
+def test_bad_packet_field_exits_2_where_no_packet_runs(command, packet, field, tmp_path, capsys):
+    # no packet runs on a step, whose tails are not zero: the three used to
+    # exit 0 on every one of these
+    cfg = write_config(tmp_path, "s.json", {"potential": STEP, "lambda_grid": [2.0, 3.0], "packet": packet})
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and field in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["scan", "reflect", "verify"])
+def test_packet_point_count_rule_waits_for_a_packet(command, tmp_path):
+    # a power of two is a rule of the whole PacketSpec, which no command here builds
+    cfg = write_config(tmp_path, "s.json", {"potential": STEP, "lambda_grid": [2.0, 3.0], "packet": {"n_points": 1000}})
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 0
+
+
 @pytest.mark.parametrize("command", ["mfunction", "scatter", "reflect", "wavepacket", "verify", "scan"])
 def test_unknown_packet_field_exits_2(command, tmp_path, capsys):
     # only wavepacket used to refuse it: the other five ran and exited 0
@@ -477,14 +510,16 @@ def test_packet_above_point_cap_exits_2(command, tmp_path, capsys, monkeypatch):
 
 def test_cli_takes_no_packet_rule_from_dynamics():
     # every packet default and the dt rule live in dynamics.plan_packet; the
-    # CLI reads the trace fields and hands the rest over
+    # CLI reads the trace fields and hands the rest over, to read_packet alone
+    # where no packet is planned
     names = {
         alias.name
         for node in ast.walk(ast.parse(inspect.getsource(cli)))
         if isinstance(node, ast.ImportFrom) and node.level and node.module == "dynamics"
         for alias in node.names
     }
-    assert names <= {"PacketSpec", "plan_packet", "incident_band", "band_reflection", "evolve_packet"}, names
+    allowed = {"PacketSpec", "plan_packet", "read_packet", "incident_band", "band_reflection", "evolve_packet"}
+    assert names <= allowed, names
 
 
 @pytest.mark.parametrize("count", [MAX_GRID_COUNT + 1, 10**9])

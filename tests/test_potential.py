@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import dataclass
 
@@ -9,6 +11,7 @@ import pytest
 from weylscatter import (
     ConfigParseError,
     GaussianBump,
+    InvalidPacket,
     InvalidPotential,
     PoschlTeller,
     Potential,
@@ -24,7 +27,13 @@ from weylscatter import (
     sweep,
     truncated,
 )
-from weylscatter.potential import integral, number
+from weylscatter.cli import GridSpan, RunConfig
+from weylscatter.dynamics import PacketSpec
+from weylscatter.errors import ValidationError
+from weylscatter.lattice import LatticeModel, lattice_model_from_potential
+from weylscatter.oracle import closed_form_barrier, transfer_reflection_grid
+from weylscatter.potential import _KINDS, integral, number
+from weylscatter.weyl import SolverOptions, interior_m
 
 LIBRARY = [
     Zero(),
@@ -146,26 +155,21 @@ def test_validate_rejects_degenerate_sampled():
         Sampled(xs=[0.0, 0.0], vs=[1.0, 1.0])
 
 
-def test_validate_rejects_bad_nu():
-    with pytest.raises(InvalidPotential):
-        PoschlTeller(nu=0)
-
-
 INVALID = [
     (SquareBarrier, {"height": math.nan, "half_width": 0.5}, "height"),
     (SquareBarrier, {"height": 2.0, "half_width": 0.5, "center": math.inf}, "center"),
-    (SquareBarrier, {"height": 2.0, "half_width": 0.0}, "half_width"),
+    (SquareBarrier, {"height": 2.0, "half_width": -0.5}, "half_width"),
     (PoschlTeller, {"nu": 2.7}, "nu"),
     (PoschlTeller, {"nu": "2"}, "nu"),
     (GaussianBump, {"amplitude": 1.0, "sigma": -math.inf}, "sigma"),
-    (GaussianBump, {"amplitude": 1.0, "sigma": 0.0}, "sigma"),
+    (GaussianBump, {"amplitude": 1.0, "sigma": -1.0}, "sigma"),
     (Step, {"left_value": 0.0, "right_value": math.nan}, "right_value"),
     (Sampled, {"xs": [-1.0, 0.0, 1.0], "vs": [0.0, math.nan, 0.0]}, "vs"),
     (Sampled, {"xs": [-1.0, 0.0, 1.0], "vs": [0.0, 1.0]}, "xs and vs"),
     (Sampled, {"xs": [-1.0, 1.0], "vs": [0.0, 0.0], "tail_right": math.inf}, "tail_right"),
     (Sampled, {"xs": [1.0, -1.0], "vs": [0.0, 0.0]}, "xs"),
     (Truncated, {"inner": PoschlTeller(nu=1), "radius": math.nan}, "radius"),
-    (Truncated, {"inner": PoschlTeller(nu=1), "radius": 0.0}, "radius"),
+    (Truncated, {"inner": PoschlTeller(nu=1), "radius": -1.0}, "radius"),
     (Truncated, {"inner": Step(0.0, 1.0), "radius": 1.0}, "inner"),
 ]
 
@@ -370,3 +374,90 @@ def test_reader_refuses_bools_and_strings():
     with pytest.raises(InvalidPotential, match="vs"):
         Sampled(xs=[-1.0, 0.0, 1.0], vs=[0.0, True, 0.0])
     assert number(np.float32(0.5)) == 0.5 and integral(np.int64(3)) == 3
+
+
+# every class whose fields declare a bound, each built from valid fields, and
+# the error its construction raises
+BOUNDED_CLASSES = {
+    SquareBarrier: ({"height": 2.0, "half_width": 0.5}, InvalidPotential, ""),
+    PoschlTeller: ({"nu": 2}, InvalidPotential, ""),
+    GaussianBump: ({"amplitude": 1.0, "sigma": 1.0}, InvalidPotential, ""),
+    Truncated: ({"inner": PoschlTeller(nu=1), "radius": 20.0}, InvalidPotential, ""),
+    SolverOptions: ({}, ValidationError, ""),
+    RunConfig: ({"potential": Zero(), "command": "reflect"}, ConfigParseError, ""),
+    GridSpan: ({"min": 1.0, "max": 2.0, "count": 3}, ConfigParseError, "lambda_grid "),
+    PacketSpec: (
+        {"x0": -40.0, "k0": 2.0, "sigma_x": 4.0, "half_length": 120.0, "n_points": 1024, "dt": 0.005, "t_max": 10.0},
+        InvalidPacket,
+        "",
+    ),
+}
+BOUNDED_FIELDS = {
+    (SquareBarrier, "half_width"): "positive",
+    (PoschlTeller, "nu"): "positive",
+    (GaussianBump, "sigma"): "positive",
+    (Truncated, "radius"): "positive",
+    (SolverOptions, "truncation_tol"): "positive",
+    (SolverOptions, "rel_ode_tol"): "positive",
+    (SolverOptions, "abs_ode_tol"): "positive",
+    (RunConfig, "s_threshold"): ">= 0",
+    (RunConfig, "zero_tol"): ">= 0",
+    (RunConfig, "slab_width"): "positive",
+    (RunConfig, "seed"): ">= 0",
+    (GridSpan, "count"): "positive",
+    (PacketSpec, "k0"): "positive",
+    (PacketSpec, "sigma_x"): "positive",
+    (PacketSpec, "half_length"): "positive",
+    (PacketSpec, "dt"): "positive",
+    (PacketSpec, "t_max"): "positive",
+}
+
+
+def test_bounds_are_declared_on_the_fields():
+    # each bound is stated once, in its field's metadata, for every potential
+    # kind and every object the CLI reads
+    declared = {
+        (cls, f.name): f.metadata["bound"]
+        for cls in set(_KINDS.values()) | set(BOUNDED_CLASSES)
+        for f in dataclasses.fields(cls)
+        if "bound" in f.metadata
+    }
+    assert declared == BOUNDED_FIELDS
+
+
+@pytest.mark.parametrize("cls, name", BOUNDED_FIELDS, ids=[f"{cls.__name__}.{name}" for cls, name in BOUNDED_FIELDS])
+def test_declared_bound_is_enforced(cls, name):
+    # the refusal's wording is the reader's, whichever class declares the bound
+    valid, error, where = BOUNDED_CLASSES[cls]
+    bound = BOUNDED_FIELDS[cls, name]
+    value = 0 if bound == "positive" else -1
+    read = value if {f.name: f.type for f in dataclasses.fields(cls)}[name] == "int" else float(value)
+    with pytest.raises(error, match=f"^{re.escape(f'{where}{name} must be {bound}, got {read!r}')}$"):
+        cls(**{**valid, name: value})
+    cls(**valid)
+
+
+BARRIER = SquareBarrier(height=2.0, half_width=0.5)
+TYPED_REFUSALS = {
+    "sweep-non-finite-energy": lambda: sweep(Zero(), [1.0, math.nan]),
+    "interior_m-real-z": lambda: interior_m("left", Zero(), 4.0),
+    "sweep-2d-grid": lambda: sweep(Zero(), [[1.0, 2.0]]),
+    "oracle-momenta": lambda: transfer_reflection_grid(BARRIER, [-1.0], 0.01),
+    "oracle-nonzero-tails": lambda: transfer_reflection_grid(Step(0.0, 1.0), [1.0], 0.01),
+    "closed_form_barrier": lambda: closed_form_barrier(-1.0, 2.0, 1.0),
+    "lattice-n": lambda: LatticeModel(n=0, h=0.1, v=[0.0], z=-1.0),
+    "lattice-n-integral": lambda: LatticeModel(n=3.5, h=0.1, v=[0.0] * 8, z=-1.0),
+    "lattice-h": lambda: LatticeModel(n=2, h=0.0, v=[0.0] * 5, z=-1.0),
+    "lattice-samples": lambda: LatticeModel(n=2, h=0.1, v=[0.0] * 4, z=-1.0),
+    "lattice-z": lambda: LatticeModel(n=2, h=0.1, v=[0.0] * 5, z=1.0),
+    "lattice-box": lambda: lattice_model_from_potential(BARRIER, 10, 0.05, -1.0),
+    "side": lambda: Zero().tail_value("up"),
+    "effective_support-tol": lambda: effective_support(Zero(), 0.0),
+}
+
+
+@pytest.mark.parametrize("refusal", TYPED_REFUSALS.values(), ids=TYPED_REFUSALS.keys())
+def test_refusals_are_typed(refusal):
+    # each used to raise a bare ValueError; ValidationError is one too
+    with pytest.raises(ValidationError):
+        refusal()
